@@ -15,12 +15,9 @@ from .curve import (
     curve_from_dict,
     curve_to_dict,
     e_factor,
-    genus,
     k_inverse,
     load_curve,
     s_value,
-    t_value,
-    validate,
 )
 from .denominators import (
     EvalMode,
@@ -47,8 +44,7 @@ from .divisors import (
     enumerate_cardinality_matrices,
     enumerate_divisors,
     expand_matrix,
-    satisfies_delta_conditions,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     specialty_index,
 )
 from .ffunctions import (
@@ -63,7 +59,6 @@ from .ffunctions import (
 from .operators import (
     AdmissibilityError,
     GroupElement,
-    LevelInvolution,
     a_value,
     apply_group,
     apply_M,
@@ -73,9 +68,9 @@ from .operators import (
     apply_T_hat,
     b_value,
     base_point_representative,
-    involution_apply,
     t_admissible,
     t_hat_admissible,
+    t_hat_partners,
 )
 from .orbits import (
     CountReport,
@@ -84,7 +79,6 @@ from .orbits import (
     OrbitGraph,
     ReachabilityPreconditionError,
     build_graph,
-    components,
     count_base_point_free,
     count_family,
     difbeta_hypothesis,

@@ -129,29 +129,35 @@ def _cmd_enumerate(args) -> int:
         _emit(report, args.format)
         return 0
     divisors = []
+    slot = None if args.avoid is None else kind.avoided_level(curve, args.avoid)
     for div in enumerate_divisors(curve, kind):
-        if args.avoid is not None:
-            slot = curve.n - 1 if kind is DivisorKind.DELTA else 0
-            if div.levels[args.avoid] != slot:
-                continue
-        divisors.append(_divisor_dict(div))
+        if slot is None or div.levels[args.avoid] == slot:
+            divisors.append(_divisor_dict(div))
     report["count"] = len(divisors)
     report["divisors"] = divisors
     _emit(report, args.format, csv_rows=[d["levels"] for d in divisors])
     return 0
 
 
+def _parse_ints(text: str, sep: str, count: int, what: str) -> list[int]:
+    """Exactly ``count`` integers separated by ``sep``, or a DivisorError naming ``what``."""
+    parts = text.split(sep)
+    try:
+        if len(parts) == count:
+            return [int(p) for p in parts]
+    except ValueError:
+        pass
+    raise DivisorError(f"cannot parse {what}")
+
+
 def _parse_op(spec: str):
     name, _, arg = spec.partition(":")
     if name == "N" and not arg:
         return ("N",)
-    if name == "Nbeta":
-        return ("Nbeta", int(arg))
-    if name == "M":
-        return ("M", int(arg))
+    if name in ("Nbeta", "M"):
+        return (name, *_parse_ints(arg, ",", 1, f"operator {spec!r}"))
     if name in ("T", "That"):
-        q, r = arg.split(",")
-        return (name, int(q), int(r))
+        return (name, *_parse_ints(arg, ",", 2, f"operator {spec!r}"))
     raise DivisorError(f"cannot parse operator {spec!r}")
 
 
@@ -197,10 +203,11 @@ def _cmd_denominator(args) -> int:
     if which == "h":
         matrix = full_denominator(div)
     elif which.startswith("g:"):
-        matrix = pmt_denominator(div, int(which[2:]))
+        (beta,) = _parse_ints(which[2:], ",", 1, f"--which {which!r}")
+        matrix = pmt_denominator(div, beta)
     elif which.startswith("q:"):
-        q_id, gamma = which[2:].split(",")
-        matrix = pmt_gamma_denominator(div, int(q_id), int(gamma))
+        q_id, gamma = _parse_ints(which[2:], ",", 2, f"--which {which!r}")
+        matrix = pmt_gamma_denominator(div, q_id, gamma)
     else:
         raise DivisorError(f"cannot parse --which {which!r}")
     if args.reduce:
@@ -249,8 +256,8 @@ def _cmd_counts(args) -> int:
         family = FamilySpec(tuple(data["c"]), tuple(data["d"]))
     except (KeyError, TypeError) as exc:
         raise DivisorError(f"{args.family}: family document needs 'c' and 'd'") from exc
-    lo, _, hi = args.n_range.partition("..")
-    n_values = list(range(int(lo), int(hi) + 1))
+    lo, hi = _parse_ints(args.n_range, "..", 2, f"--n-range {args.n_range!r}")
+    n_values = list(range(lo, hi + 1))
     report_obj = count_family(family, n_values, fit=args.fit)
     report = _report_meta({"family": args.family})
     report["family"] = {"c": list(family.c), "d": list(family.d)}

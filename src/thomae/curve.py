@@ -10,9 +10,10 @@ these data; the z-values are optional and only used for evaluation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -53,6 +54,9 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class CurveSpec:
+    """A curve as n and its branch points.  Equality and hashing see only
+    these two fields; the derived arithmetic is computed once, on first use."""
+
     n: int
     points: tuple[BranchPoint, ...]
 
@@ -71,26 +75,26 @@ class CurveSpec:
             pts.append(BranchPoint(i, a, lab, lam))
         return cls(n, tuple(pts))
 
-    @property
+    @cached_property
     def alphas(self) -> tuple[int, ...]:
         return tuple(p.alpha for p in self.points)
 
-    @property
+    @cached_property
     def point_count(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def classes(self) -> tuple[int, ...]:
         """Distinct exponent classes, in order of first appearance."""
-        seen: list[int] = []
-        for p in self.points:
-            if p.alpha not in seen:
-                seen.append(p.alpha)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.alphas))
+
+    @cached_property
+    def _class_sizes(self) -> Counter:
+        return Counter(self.alphas)
 
     def r(self, alpha: int) -> int:
-        """Number of branch points in the class alpha (derived, never stored)."""
-        return sum(1 for p in self.points if p.alpha == alpha)
+        """Number of branch points in the class alpha."""
+        return self._class_sizes[alpha]
 
     @property
     def lambdas(self) -> Optional[tuple[Fraction, ...]]:
@@ -102,9 +106,22 @@ class CurveSpec:
     def genus(self) -> int:
         return (self.n - 1) * (self.point_count - 2) // 2
 
-    def t_value(self, k: int) -> int:
+    @cached_property
+    def t_values(self) -> tuple[int, ...]:
+        """t_k for k = 0..n-1; t_k depends on k only mod n."""
         n = self.n
-        return sum(p.alpha * k - n * s_value(p.alpha, k, n) for p in self.points) // n
+        return tuple(
+            sum(a * k - n * s_value(a, k, n) for a in self.alphas) // n for k in range(n)
+        )
+
+    def t_value(self, k: int) -> int:
+        return self.t_values[k % self.n]
+
+    @cached_property
+    def thresholds(self) -> tuple[tuple[int, ...], ...]:
+        """thresholds[k-1][i] = alpha_i * k mod n, for k = 1..n-1."""
+        n = self.n
+        return tuple(tuple((a * k) % n for a in self.alphas) for k in range(1, n))
 
     def validate(self) -> list[str]:
         """All invariant violations, empty when the curve is usable."""
@@ -144,28 +161,6 @@ class CurveSpec:
             for p, v in zip(self.points, lambdas)
         )
         return CurveSpec(self.n, pts)
-
-
-def validate(spec: CurveSpec) -> list[str]:
-    return spec.validate()
-
-
-def genus(spec: CurveSpec) -> int:
-    return spec.genus()
-
-
-def t_value(spec: CurveSpec, k: int) -> int:
-    return spec.t_value(k)
-
-
-@lru_cache(maxsize=None)
-def _thresholds(alphas: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """_thresholds(...)[k-1][i] = alpha_i * k mod n, for k = 1..n-1."""
-    return tuple(tuple((a * k) % n for a in alphas) for k in range(1, n))
-
-
-def condition_thresholds(spec: CurveSpec) -> tuple[tuple[int, ...], ...]:
-    return _thresholds(spec.alphas, spec.n)
 
 
 def _parse_exact(value) -> Fraction:

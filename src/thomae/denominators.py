@@ -61,9 +61,6 @@ class ExponentMatrix:
     def unit_exponent(self, i: int, j: int) -> int:
         return self._entries.get((min(i, j), max(i, j)), 0)
 
-    def full_exponent(self, i: int, j: int) -> int:
-        return self.unit_factor * self.unit_exponent(i, j)
-
     @property
     def unit_factor(self) -> int:
         return e_factor(self.curve.n) * self.curve.n

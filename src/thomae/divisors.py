@@ -4,8 +4,8 @@ A divisor is stored as one level l in {0..n-1} per branch point; the point
 then appears with exponent n-1-l.  A degree-g divisor (kind DELTA) is
 non-special exactly when, for every k in 1..n-1, the number of points whose
 level lies below alpha*k mod n equals t_k - 1; the shifted family of degree
-g+n-1 (kind XI) uses t_k instead.  The same left-hand sides drive the
-specialty index, so both tests share one counting helper.
+g+n-1 (kind XI) uses t_k instead, so one test serves both kinds.  The same
+left-hand sides drive the specialty index.
 
 Enumeration is two-staged: first the per-class level-count matrices solving
 the linear conditions, then the multinomial expansion assigning the labeled
@@ -20,7 +20,7 @@ from enum import Enum
 from math import comb
 from typing import Iterator, Optional
 
-from .curve import CurveSpec, condition_thresholds
+from .curve import CurveSpec
 
 
 class DivisorError(ValueError):
@@ -36,6 +36,13 @@ class DivisorKind(Enum):
         """Right-hand sides of the k-th condition: t_k minus this."""
         return 1 if self is DivisorKind.DELTA else 0
 
+    def avoided_level(self, spec: CurveSpec, point: int) -> int:
+        """The level an avoided ``point`` sits at: n-1 (exponent 0) for DELTA,
+        0 (exponent n-1, the base-point slot) for XI."""
+        if not 0 <= point < spec.point_count:
+            raise DivisorError(f"no point with index {point}")
+        return spec.n - 1 if self is DivisorKind.DELTA else 0
+
 
 @dataclass(frozen=True)
 class LeveledDivisor:
@@ -49,9 +56,6 @@ class LeveledDivisor:
             raise DivisorError("one level per branch point required")
         if any(not 0 <= l <= n - 1 for l in self.levels):
             raise DivisorError(f"levels must lie in 0..{n - 1}: {self.levels}")
-
-    def level(self, point: int) -> int:
-        return self.levels[point]
 
     def exponent(self, point: int) -> int:
         return self.curve.n - 1 - self.levels[point]
@@ -83,24 +87,15 @@ class LeveledDivisor:
 
 def condition_lhs(divisor: LeveledDivisor, k: int) -> int:
     """Number of points whose level lies below alpha * k mod n."""
-    thr = condition_thresholds(divisor.curve)[k - 1]
+    thr = divisor.curve.thresholds[k - 1]
     return sum(1 for l, t in zip(divisor.levels, thr) if l < t)
 
 
-def satisfies_delta_conditions(divisor: LeveledDivisor) -> bool:
-    spec = divisor.curve
-    return all(condition_lhs(divisor, k) == spec.t_value(k) - 1 for k in range(1, spec.n))
-
-
-def satisfies_xi_conditions(divisor: LeveledDivisor) -> bool:
-    spec = divisor.curve
-    return all(condition_lhs(divisor, k) == spec.t_value(k) for k in range(1, spec.n))
-
-
 def satisfies_conditions(divisor: LeveledDivisor) -> bool:
-    if divisor.kind is DivisorKind.DELTA:
-        return satisfies_delta_conditions(divisor)
-    return satisfies_xi_conditions(divisor)
+    """Every k-condition of the divisor's kind: lhs_k = t_k - kind.shift."""
+    spec = divisor.curve
+    shift = divisor.kind.shift
+    return all(condition_lhs(divisor, k) == spec.t_value(k) - shift for k in range(1, spec.n))
 
 
 def specialty_index(divisor: LeveledDivisor) -> int:
@@ -141,10 +136,12 @@ def divisor_from_exponents(
 
 @dataclass(frozen=True)
 class CardinalityMatrix:
-    """Per-class level counts c_{alpha, l}; row alpha sums to r_alpha."""
+    """Per-class level counts c_{alpha, l} of divisors of one kind; row alpha
+    sums to r_alpha."""
 
     curve: CurveSpec
     counts: tuple[tuple[int, tuple[int, ...]], ...]  # (alpha, counts over levels)
+    kind: DivisorKind
 
     def __post_init__(self):
         n = self.curve.n
@@ -153,12 +150,6 @@ class CardinalityMatrix:
                 raise DivisorError("each class row needs one count per level")
             if sum(row) != self.curve.r(alpha):
                 raise DivisorError(f"row for class {alpha} must sum to r_{alpha}")
-
-    def row(self, alpha: int) -> tuple[int, ...]:
-        for a, row in self.counts:
-            if a == alpha:
-                return row
-        raise KeyError(alpha)
 
     def expansion_size(self) -> int:
         total = 1
@@ -233,7 +224,7 @@ def enumerate_cardinality_matrices(
     def rec(ci: int, acc: list[int], chosen: list):
         if ci == len(classes):
             if all(acc[k] == targets[k] for k in range(n - 1)):
-                yield CardinalityMatrix(spec, tuple(chosen))
+                yield CardinalityMatrix(spec, tuple(chosen), kind)
             return
         yield from place(ci, 0, rvals[ci], [0] * n, acc, chosen)
 
@@ -245,7 +236,6 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
     if matrix.curve != spec:
         raise DivisorError("matrix belongs to a different curve")
     n = spec.n
-    kind = _matrix_kind(matrix)
     class_points = {a: [p.index for p in spec.points if p.alpha == a] for a in spec.classes}
 
     def place(points: tuple[int, ...], row: tuple[int, ...], level: int) -> Iterator[dict]:
@@ -273,15 +263,7 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
 
     for assignment in rec(0):
         levels = tuple(assignment[i] for i in range(spec.point_count))
-        yield LeveledDivisor(spec, levels, kind)
-
-
-def _matrix_kind(matrix: CardinalityMatrix) -> DivisorKind:
-    spec = matrix.curve
-    deg = sum(
-        (spec.n - 1 - l) * c for _, row in matrix.counts for l, c in enumerate(row)
-    )
-    return DivisorKind.DELTA if deg == spec.genus() else DivisorKind.XI
+        yield LeveledDivisor(spec, levels, matrix.kind)
 
 
 def enumerate_divisors(spec: CurveSpec, kind: DivisorKind) -> Iterator[LeveledDivisor]:
@@ -309,16 +291,11 @@ def count_divisors(
     exponent 0 for kind DELTA, and with exponent n-1 (the base-point slot)
     for kind XI.
     """
-    if avoid is not None and not 0 <= avoid < spec.point_count:
-        raise DivisorError(f"no point with index {avoid}")
-    fixed_level = None
-    if avoid is not None:
-        fixed_level = spec.n - 1 if kind is DivisorKind.DELTA else 0
+    fixed_level = None if avoid is None else kind.avoided_level(spec, avoid)
     total = 0
     for matrix in enumerate_cardinality_matrices(spec, kind):
         term = 1
         for alpha, row in matrix.counts:
-            r = spec.r(alpha)
             if avoid is not None and spec.points[avoid].alpha == alpha:
                 if row[fixed_level] == 0:
                     term = 0

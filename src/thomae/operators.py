@@ -34,32 +34,18 @@ def b_value(beta: int, alpha: int, l: int, n: int) -> int:
     return (2 * alpha * k_inverse(beta, n) - 1 - l) % n
 
 
-@dataclass(frozen=True)
-class LevelInvolution:
-    """One of the two level reflections, as a reusable function object."""
-
-    n: int
-    kind: str  # "A" or "B"
-    beta: int
-    alpha: int
-
-    def __post_init__(self):
-        if self.kind not in ("A", "B"):
-            raise DivisorError(f"kind must be 'A' or 'B', got {self.kind!r}")
-
-    def __call__(self, l: int) -> int:
-        if self.kind == "A":
-            return a_value(self.beta, self.alpha, l, self.n)
-        return b_value(self.beta, self.alpha, l, self.n)
-
-
-def involution_apply(inv: LevelInvolution, l: int) -> int:
-    return inv(l)
-
-
 def _require_xi(xi: LeveledDivisor) -> None:
     if xi.kind is not DivisorKind.XI:
         raise DivisorError("operators act on divisors of kind XI")
+
+
+def _require_swap_pair(xi: LeveledDivisor, q_id: int, r_id: int) -> None:
+    _require_xi(xi)
+    if q_id == r_id:
+        raise DivisorError("the swap needs two distinct points")
+    for p in (q_id, r_id):
+        if not 0 <= p < len(xi.levels):
+            raise DivisorError(f"no point with index {p}")
 
 
 def apply_N_beta(xi: LeveledDivisor, beta: int) -> LeveledDivisor:
@@ -102,9 +88,7 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     Admissible when Q sits at level 0 and R at level gamma * beta^{-1} mod n;
     the image keeps Q at level 0 and R at its original level.
     """
-    _require_xi(xi)
-    if q_id == r_id:
-        raise DivisorError("the swap needs two distinct points")
+    _require_swap_pair(xi, q_id, r_id)
     n = xi.curve.n
     beta = xi.curve.alphas[q_id]
     gamma = xi.curve.alphas[r_id]
@@ -119,14 +103,30 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     return xi.with_levels(tuple(levels))
 
 
+def _t_hat_step(xi: LeveledDivisor, q_id: int) -> int:
+    """beta^{-1} * (j+1) mod n for Q of class beta at level j: a partner of
+    class gamma must sit at level gamma times this, mod n."""
+    n = xi.curve.n
+    return (k_inverse(xi.curve.alphas[q_id], n) * (xi.levels[q_id] + 1)) % n
+
+
 def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
+    return xi.levels[r_id] == (xi.curve.alphas[r_id] * _t_hat_step(xi, q_id)) % xi.curve.n
+
+
+def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
+    """Every R with t_hat_admissible(xi, q_id, R), ascending."""
+    if xi.kind is not DivisorKind.XI:
+        return ()
     n = xi.curve.n
-    beta = xi.curve.alphas[q_id]
-    gamma = xi.curve.alphas[r_id]
-    j = xi.levels[q_id]
-    return xi.levels[r_id] == (gamma * k_inverse(beta, n) * (j + 1)) % n
+    step = _t_hat_step(xi, q_id)
+    return tuple(
+        r
+        for r, (gamma, l) in enumerate(zip(xi.curve.alphas, xi.levels))
+        if l == (gamma * step) % n and r != q_id
+    )
 
 
 def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
@@ -136,14 +136,9 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     level gamma * beta^{-1} * (j+1) mod n; the admissibility travels along
     M-orbits, and the inverse is the same operator with Q and R exchanged.
     """
-    _require_xi(xi)
-    if q_id == r_id:
-        raise DivisorError("the swap needs two distinct points")
+    _require_swap_pair(xi, q_id, r_id)
     n = xi.curve.n
-    beta = xi.curve.alphas[q_id]
-    gamma = xi.curve.alphas[r_id]
-    j = xi.levels[q_id]
-    expected = (gamma * k_inverse(beta, n) * (j + 1)) % n
+    expected = (xi.curve.alphas[r_id] * _t_hat_step(xi, q_id)) % n
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
     levels = list(xi.levels)

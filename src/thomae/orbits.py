@@ -24,12 +24,7 @@ from .divisors import (
     count_divisors,
     enumerate_divisors,
 )
-from .operators import (
-    apply_M,
-    apply_N,
-    apply_T_hat,
-    t_hat_admissible,
-)
+from .operators import apply_M, apply_N, apply_T_hat, t_hat_partners
 
 
 @dataclass(frozen=True)
@@ -58,9 +53,6 @@ class OrbitGraph:
             return self._index[divisor.levels]
         except KeyError:
             raise DivisorError(f"divisor {divisor.levels} is not a vertex") from None
-
-    def neighbors(self, vid: int) -> Sequence[tuple[int, str]]:
-        return self._adjacency[vid]
 
     def components(self) -> list[list[int]]:
         seen = [False] * len(self.vertices)
@@ -145,14 +137,9 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
         edges.append(Edge(i, index[apply_M(v, -1).levels], "M^-1"))
         edges.append(Edge(i, index[apply_N(v).levels], "N"))
         for q in range(npts):
-            for r in range(npts):
-                if q != r and t_hat_admissible(v, q, r):
-                    edges.append(Edge(i, index[apply_T_hat(v, q, r).levels], f"That:{q},{r}"))
+            for r in t_hat_partners(v, q):
+                edges.append(Edge(i, index[apply_T_hat(v, q, r).levels], f"That:{q},{r}"))
     return OrbitGraph(spec, tuple(verts), tuple(edges))
-
-
-def components(graph: OrbitGraph) -> list[list[int]]:
-    return graph.components()
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +148,6 @@ def components(graph: OrbitGraph) -> list[list[int]]:
 
 class ReachabilityPreconditionError(DivisorError):
     """The two divisors do not satisfy the restricted-swap hypotheses."""
-
-
-def _class_sets(div: LeveledDivisor) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, l in zip(div.curve.alphas, div.levels):
-        counts[(a, l)] = counts.get((a, l), 0) + 1
-    return counts
 
 
 def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
@@ -179,11 +159,11 @@ def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
     mirror = (n - beta) % n
     if mirror == beta:
         return False
-    counts = _class_sets(xi)
-    if curve.r(mirror) == 0 and all(counts.get((beta, j)) for j in range(n)):
+    sets = xi.sets()
+    if curve.r(mirror) == 0 and all((beta, j) in sets for j in range(n)):
         return True
     return any(
-        counts.get((beta, j)) and counts.get((mirror, (n - 1 - j) % n)) for j in range(n)
+        (beta, j) in sets and (mirror, (n - 1 - j) % n) in sets for j in range(n)
     )
 
 
@@ -223,8 +203,8 @@ def difbeta_reachability(
         if cur.levels == target:
             return True
         for q in swap_points:
-            for r in swap_points:
-                if q != r and t_hat_admissible(cur, q, r):
+            for r in t_hat_partners(cur, q):
+                if curve.alphas[r] in pair_classes:
                     nxt = apply_T_hat(cur, q, r)
                     if nxt.levels not in seen:
                         seen.add(nxt.levels)
@@ -253,6 +233,8 @@ class FamilySpec:
 
     def alphas(self, n: int) -> Optional[list[int]]:
         """Exponent classes at level n, or None when the curve degenerates."""
+        if n < 2:
+            return None
         alphas = list(self.c) + [(n - dv) % n for dv in self.d]
         if len(alphas) < 3:
             return None
@@ -266,15 +248,6 @@ class FamilySpec:
             return None
         spec = CurveSpec.from_alphas(n, alphas)
         return spec if not spec.validate() else None
-
-    def partitions(self) -> tuple[dict[int, int], dict[int, int]]:
-        xs: dict[int, int] = {}
-        ys: dict[int, int] = {}
-        for v in self.c:
-            xs[v] = xs.get(v, 0) + 1
-        for v in self.d:
-            ys[v] = ys.get(v, 0) + 1
-        return xs, ys
 
 
 def count_base_point_free(spec: CurveSpec) -> int:

@@ -8,9 +8,11 @@ one run reports everything that is wrong.  The CLI exposes this as the
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .curve import CurveSpec
@@ -25,12 +27,12 @@ from .denominators import (
     theta_relation_shift,
 )
 from .divisors import (
+    DivisorError,
     DivisorKind,
     LeveledDivisor,
     brute_force_divisors,
     enumerate_divisors,
-    satisfies_delta_conditions,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     specialty_index,
 )
 from .operators import (
@@ -66,12 +68,14 @@ class Verifier:
     def _record(self, check: str, reproducer: str) -> None:
         self.findings.append(Finding(check, reproducer))
 
-    def _xis(self) -> list[LeveledDivisor]:
+    @cached_property
+    def xis(self) -> list[LeveledDivisor]:
+        """The shifted divisors, enumerated once per run and refused above the cap."""
         out = []
         for div in enumerate_divisors(self.spec, DivisorKind.XI):
             out.append(div)
             if len(out) > self.max_vertices:
-                raise RuntimeError(
+                raise DivisorError(
                     f"more than {self.max_vertices} divisors; raise --max-vertices"
                 )
         return out
@@ -86,9 +90,10 @@ class Verifier:
             "evaluation": self.check_evaluation,
         }
         names = list(table) if checks is None else list(checks)
+        unknown = [name for name in names if name not in table]
+        if unknown:
+            raise DivisorError(f"unknown check {unknown[0]!r}")
         for name in names:
-            if name not in table:
-                raise ValueError(f"unknown check {name!r}")
             self.checks_run.append(name)
             table[name]()
         return self.findings
@@ -106,7 +111,8 @@ class Verifier:
         if spec.n ** spec.point_count > 200000:
             return  # brute-force cross-check only affordable on small curves
         for kind in (DivisorKind.DELTA, DivisorKind.XI):
-            fast = sorted(d.levels for d in enumerate_divisors(spec, kind))
+            found = self.xis if kind is DivisorKind.XI else enumerate_divisors(spec, kind)
+            fast = sorted(d.levels for d in found)
             slow = sorted(d.levels for d in brute_force_divisors(spec, kind))
             if fast != slow:
                 self._record(
@@ -121,14 +127,12 @@ class Verifier:
         spec = self.spec
         if spec.n ** spec.point_count > 200000:
             return
-        import itertools
-
         g = spec.genus()
         for levels in itertools.product(range(spec.n), repeat=spec.point_count):
             div = LeveledDivisor(spec, levels, DivisorKind.DELTA)
             if div.degree != g:
                 continue
-            if (specialty_index(div) == 0) != satisfies_delta_conditions(div):
+            if (specialty_index(div) == 0) != satisfies_conditions(div):
                 self._record(
                     "nonspecial-equivalence",
                     f"levels={levels}: index {specialty_index(div)} vs conditions",
@@ -137,10 +141,10 @@ class Verifier:
     def check_operators(self) -> None:
         spec = self.spec
         n = spec.n
-        for xi in self._xis():
+        for xi in self.xis:
             for beta in spec.classes:
                 image = apply_N_beta(xi, beta)
-                if not satisfies_xi_conditions(image):
+                if not satisfies_conditions(image):
                     self._record("operators", f"N_{beta} of {xi.levels} is invalid")
                 if apply_N_beta(image, beta).levels != xi.levels:
                     self._record("operators", f"N_{beta} not an involution at {xi.levels}")
@@ -151,7 +155,7 @@ class Verifier:
                     )
             if apply_M(xi, n).levels != xi.levels:
                 self._record("operators", f"M^n != id at {xi.levels}")
-            if not satisfies_xi_conditions(apply_M(xi, 1)):
+            if not satisfies_conditions(apply_M(xi, 1)):
                 self._record("operators", f"M of {xi.levels} is invalid")
             for q in range(spec.point_count):
                 for r in range(spec.point_count):
@@ -159,7 +163,7 @@ class Verifier:
                         continue
                     if t_admissible(xi, q, r):
                         image = apply_T(xi, q, r)
-                        if not satisfies_xi_conditions(image):
+                        if not satisfies_conditions(image):
                             self._record("operators", f"T:{q},{r} of {xi.levels} is invalid")
                         if image.levels[r] != xi.levels[r]:
                             self._record(
@@ -171,7 +175,7 @@ class Verifier:
                             )
                     if t_hat_admissible(xi, q, r):
                         image = apply_T_hat(xi, q, r)
-                        if not satisfies_xi_conditions(image):
+                        if not satisfies_conditions(image):
                             self._record("operators", f"That:{q},{r} of {xi.levels} is invalid")
                         if apply_T_hat(image, r, q).levels != xi.levels:
                             self._record(
@@ -181,7 +185,7 @@ class Verifier:
     def check_denominators(self) -> None:
         spec = self.spec
         degrees = set()
-        for xi in self._xis():
+        for xi in self.xis:
             h = full_denominator(xi)
             degrees.add(degree(h))
             slots = sorted(xi.sets(), reverse=True)
@@ -229,7 +233,7 @@ class Verifier:
     def check_evaluation(self, trials: int = 20) -> None:
         spec = self.spec
         rng = random.Random(self.seed)
-        xis = self._xis()
+        xis = self.xis
         if not xis:
             return
         xi = xis[0]

@@ -25,7 +25,6 @@ from thomae import (
     apply_T,
     apply_T_hat,
     build_graph,
-    components,
     count_family,
     degree,
     difbeta_hypothesis,
@@ -44,7 +43,7 @@ from thomae import (
     matrix_quotient,
     pmt_denominator,
     pmt_gamma_denominator,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     specialty_index,
     t_admissible,
     t_hat_admissible,
@@ -196,7 +195,7 @@ def test_criterion3_operator_suite(battery_xis):
         for xi in xis:
             for beta in curve.classes:
                 image = apply_N_beta(xi, beta)
-                if not satisfies_xi_conditions(image):
+                if not satisfies_conditions(image):
                     bad.append(("negation-validity", curve.alphas, xi.levels, beta))
                 if apply_N_beta(image, beta) != xi:
                     bad.append(("negation-involution", curve.alphas, xi.levels, beta))
@@ -205,7 +204,7 @@ def test_criterion3_operator_suite(battery_xis):
                         bad.append(("dihedral", curve.alphas, xi.levels, beta, k))
             if apply_M(xi, n) != xi:
                 bad.append(("rotation-order", curve.alphas, xi.levels))
-            if not satisfies_xi_conditions(apply_M(xi, 1)):
+            if not satisfies_conditions(apply_M(xi, 1)):
                 bad.append(("rotation-validity", curve.alphas, xi.levels))
             for q in range(npts):
                 for r in range(npts):
@@ -213,7 +212,7 @@ def test_criterion3_operator_suite(battery_xis):
                         continue
                     if t_admissible(xi, q, r):
                         image = apply_T(xi, q, r)
-                        if not satisfies_xi_conditions(image):
+                        if not satisfies_conditions(image):
                             bad.append(("swap-validity", curve.alphas, xi.levels, q, r))
                         if image.levels[r] != xi.levels[r]:
                             bad.append(("swap-partner", curve.alphas, xi.levels, q, r))
@@ -221,7 +220,7 @@ def test_criterion3_operator_suite(battery_xis):
                             bad.append(("swap-involution", curve.alphas, xi.levels, q, r))
                     if t_hat_admissible(xi, q, r):
                         image = apply_T_hat(xi, q, r)
-                        if not satisfies_xi_conditions(image):
+                        if not satisfies_conditions(image):
                             bad.append(("simple-swap-validity", curve.alphas, xi.levels, q, r))
                         if not t_hat_admissible(image, r, q) or apply_T_hat(
                             image, r, q
@@ -630,7 +629,7 @@ def test_criterion8_transitivity():
     bad = []
     for n, alphas in curves:
         graph = build_graph(CurveSpec.from_alphas(n, alphas))
-        comps = components(graph)
+        comps = graph.components()
         if len(graph.vertices) and len(comps) != 1:
             bad.append((n, alphas, len(comps)))
     assert report("8a (single component on the battery)", not bad, f"bad={bad}")

@@ -260,3 +260,56 @@ def test_csv_format_counts(capsys, tmp_path):
     )
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert [int(r[1]) for r in rows] == [4, 8, 12, 16]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--op", "M:x"],
+        ["apply", "--op", "T:0,9"],
+        ["counts", "--n-range", "abc"],
+        ["denominator", "--which", "g:x"],
+        ["denominator", "--which", "q:0"],
+        ["verify", "--suite", "bogus"],
+        ["verify", "--max-vertices", "0"],
+        ["enumerate", "--avoid", "9"],
+    ],
+)
+def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
+    curve = write(
+        tmp_path / "c.json",
+        {"n": 5, "points": [{"alpha": 1}, {"alpha": 2}, {"alpha": 2}]},
+    )
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 1, 2]})
+    family = write(tmp_path / "f.json", {"c": [1, 1, 1], "d": [1, 1, 1]})
+    inputs = {
+        "apply": ["--curve", curve, "--divisor", divisor],
+        "counts": ["--family", family],
+        "denominator": ["--curve", curve, "--divisor", divisor],
+        "verify": ["--curve", curve],
+        "enumerate": ["--curve", curve],
+    }
+    code, _, err = run(capsys, *argv, *inputs[argv[0]])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_avoid_listing_agrees_with_count_only(capsys, tmp_path):
+    curve = write(
+        tmp_path / "c.json",
+        {"n": 7, "points": [{"alpha": a} for a in (1, 2, 5, 6)]},
+    )
+    for kind in ("delta", "xi"):
+        base = ["enumerate", "--curve", curve, "--kind", kind, "--avoid"]
+        for point in range(4):
+            code, out, _ = run(capsys, *base, str(point))
+            listed = json.loads(out)["count"]
+            code_c, out_c, _ = run(capsys, *base, str(point), "--count-only")
+            assert code == code_c == 0
+            assert listed == json.loads(out_c)["count"]
+        for point in ("-1", "4"):
+            for extra in ([], ["--count-only"]):
+                code, out, err = run(capsys, *base, point, *extra)
+                assert code == 1 and out == ""
+                assert err == f"error: no point with index {point}\n"

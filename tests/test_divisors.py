@@ -15,8 +15,7 @@ from thomae import (
     enumerate_cardinality_matrices,
     enumerate_divisors,
     expand_matrix,
-    satisfies_delta_conditions,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     specialty_index,
     s_value,
 )
@@ -145,7 +144,7 @@ def test_equivalence_index_vs_conditions(small_battery):
             div = LeveledDivisor(curve, levels, DivisorKind.DELTA)
             if div.degree != g:
                 continue
-            assert (specialty_index(div) == 0) == satisfies_delta_conditions(div)
+            assert (specialty_index(div) == 0) == satisfies_conditions(div)
 
 
 def test_rank_oracle_agrees_with_index():
@@ -193,16 +192,16 @@ def test_xi_conditions_examples():
                     continue
                 exps = list(delta.exponents)
                 exps[i] = curve.n - 1
-                assert satisfies_xi_conditions(xi_of(curve, exps))
-            assert satisfies_delta_conditions(delta)
+                assert satisfies_conditions(xi_of(curve, exps))
+            assert satisfies_conditions(delta)
 
 
 def test_xi_all_level_zero_is_rejected_by_brute_force():
     curve = CurveSpec.from_alphas(3, [1, 1, 1])
     allzero = LeveledDivisor(curve, (0, 0, 0), DivisorKind.XI)
     brute = {d.levels for d in brute_force_divisors(curve, DivisorKind.XI)}
-    assert (allzero.levels in brute) == satisfies_xi_conditions(allzero)
-    assert not satisfies_xi_conditions(allzero)
+    assert (allzero.levels in brute) == satisfies_conditions(allzero)
+    assert not satisfies_conditions(allzero)
 
 
 def test_second_family_xi_divisors():
@@ -215,7 +214,7 @@ def test_second_family_xi_divisors():
             exps = [0, 0, 0, n - 1]
             exps[i] = n - 1 - s
             exps[j] = s
-            assert satisfies_xi_conditions(xi_of(curve, exps))
+            assert satisfies_conditions(xi_of(curve, exps))
             count += 1
         assert count == 6
 
@@ -249,9 +248,17 @@ def test_expansion_sizes():
         assert len({d.levels for d in expanded}) == len(expanded)
 
 
+def test_matrices_carry_their_kind(small_battery):
+    for curve in small_battery:
+        for kind in DivisorKind:
+            for matrix in enumerate_cardinality_matrices(curve, kind):
+                assert matrix.kind is kind
+                assert all(d.kind is kind for d in expand_matrix(matrix, curve))
+
+
 def test_expand_single_assignment():
     curve = CurveSpec.from_alphas(3, [1, 1, 1])
-    matrix = CardinalityMatrix(curve, ((1, (3, 0, 0)),))
+    matrix = CardinalityMatrix(curve, ((1, (3, 0, 0)),), DivisorKind.XI)
     assert matrix.expansion_size() == 1
     (only,) = expand_matrix(matrix, curve)
     assert only.levels == (0, 0, 0)
@@ -259,7 +266,7 @@ def test_expand_single_assignment():
 
 def test_expand_two_choices():
     curve = CurveSpec.from_alphas(2, [1, 1, 1, 1])
-    matrix = CardinalityMatrix(curve, ((1, (2, 2)),))
+    matrix = CardinalityMatrix(curve, ((1, (2, 2)),), DivisorKind.XI)
     assert matrix.expansion_size() == 6
     assert len(list(expand_matrix(matrix, curve))) == 6
 

@@ -8,7 +8,6 @@ from thomae import (
     CurveSpec,
     DivisorKind,
     GroupElement,
-    LevelInvolution,
     a_value,
     apply_group,
     apply_M,
@@ -18,11 +17,11 @@ from thomae import (
     b_value,
     base_point_representative,
     enumerate_divisors,
-    involution_apply,
     k_inverse,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     t_admissible,
     t_hat_admissible,
+    t_hat_partners,
 )
 
 
@@ -103,11 +102,11 @@ def test_involutions_are_involutions(n, data):
     residues = coprime_residues(n)
     alpha = data.draw(st.sampled_from(residues))
     beta = data.draw(st.sampled_from(residues))
-    kind = data.draw(st.sampled_from(["A", "B"]))
+    involution = data.draw(st.sampled_from([a_value, b_value]))
     l = data.draw(st.integers(0, n - 1))
-    inv = LevelInvolution(n, kind, beta, alpha)
-    assert 0 <= inv(l) <= n - 1
-    assert involution_apply(inv, inv(l)) == l
+    image = involution(beta, alpha, l, n)
+    assert 0 <= image <= n - 1
+    assert involution(beta, alpha, image, n) == l
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_negation_involution_and_validity(small_battery):
         for xi in xis(curve):
             for beta in curve.classes:
                 image = apply_N_beta(xi, beta)
-                assert satisfies_xi_conditions(image)
+                assert satisfies_conditions(image)
                 assert apply_N_beta(image, beta) == xi
                 # points at the fixed slot stay put
                 if xi.levels and curve.alphas[0] == beta and xi.levels[0] == 0:
@@ -142,7 +141,7 @@ def test_rotation_order_and_validity(small_battery):
         for xi in xis(curve):
             assert apply_M(xi, 0) == xi
             assert apply_M(xi, n) == xi
-            assert satisfies_xi_conditions(apply_M(xi, 1))
+            assert satisfies_conditions(apply_M(xi, 1))
             assert apply_M(apply_M(xi, 1), n - 1) == xi
 
 
@@ -165,7 +164,7 @@ def test_swap_involution_preserves_partner(small_battery):
                         continue
                     seen += 1
                     image = apply_T(xi, q, r)
-                    assert satisfies_xi_conditions(image)
+                    assert satisfies_conditions(image)
                     assert image.levels[r] == xi.levels[r]
                     assert image.levels[q] == 0
                     assert apply_T(image, q, r) == xi
@@ -206,9 +205,18 @@ def test_simple_swap_inverse_pairing(small_battery):
                     if q == r or not t_hat_admissible(xi, q, r):
                         continue
                     image = apply_T_hat(xi, q, r)
-                    assert satisfies_xi_conditions(image)
+                    assert satisfies_conditions(image)
                     assert t_hat_admissible(image, r, q)
                     assert apply_T_hat(image, r, q) == xi
+
+
+def test_simple_swap_partners_match_probes(full_battery):
+    for curve in full_battery:
+        points = range(curve.point_count)
+        for xi in xis(curve):
+            for q in points:
+                probed = tuple(r for r in points if t_hat_admissible(xi, q, r))
+                assert t_hat_partners(xi, q) == probed
 
 
 def test_simple_swap_admissibility_is_orbit_stable(small_battery):

@@ -12,17 +12,16 @@ from thomae import (
     apply_N,
     apply_T_hat,
     build_graph,
-    components,
     count_base_point_free,
     count_family,
     difbeta_hypothesis,
     difbeta_reachability,
     enumerate_divisors,
     fit_count_polynomial,
-    satisfies_xi_conditions,
+    satisfies_conditions,
     t_hat_admissible,
 )
-from thomae.orbits import FamilySpec
+from thomae.orbits import Edge, FamilySpec
 
 
 def three_point_curve(n):
@@ -38,7 +37,7 @@ def test_graph_third_family_n5():
     assert len(graph.vertices) == 10
     orbits = graph.m_orbits()
     assert len(orbits) == 2
-    assert len(components(graph)) == 1
+    assert len(graph.components()) == 1
     # the reflection exchanges the two rotation orbits
     first = graph.vertices[orbits[0][0]]
     image = apply_N(first)
@@ -49,19 +48,19 @@ def test_graph_third_family_n7():
     graph = build_graph(three_point_curve(7))
     assert len(graph.vertices) == 7
     assert len(graph.m_orbits()) == 1
-    assert len(components(graph)) == 1
+    assert len(graph.components()) == 1
 
 
 def test_graph_empty_for_gdt_curve():
     graph = build_graph(CurveSpec.from_alphas(17, [1, 2, 14]))
     assert graph.vertices == ()
-    assert components(graph) == []
+    assert graph.components() == []
 
 
 def test_graph_vertices_valid_and_edges_paired():
     graph = build_graph(CurveSpec.from_alphas(5, [1, 1, 1, 2]))
     for v in graph.vertices:
-        assert satisfies_xi_conditions(v)
+        assert satisfies_conditions(v)
     that_edges = {
         (e.source, e.target, e.label) for e in graph.edges if e.label.startswith("That")
     }
@@ -69,6 +68,31 @@ def test_graph_vertices_valid_and_edges_paired():
         q, r = label.split(":")[1].split(",")
         inverse = (target, source, f"That:{r},{q}")
         assert inverse in that_edges
+
+
+def _probed_edges(graph):
+    """The operator edges found by probing every ordered pair for a simple swap."""
+    index = {v.levels: i for i, v in enumerate(graph.vertices)}
+    npts = graph.curve.point_count
+    edges = []
+    for i, v in enumerate(graph.vertices):
+        edges.append(Edge(i, index[apply_M(v, 1).levels], "M"))
+        edges.append(Edge(i, index[apply_M(v, -1).levels], "M^-1"))
+        edges.append(Edge(i, index[apply_N(v).levels], "N"))
+        for q in range(npts):
+            for r in range(npts):
+                if q != r and t_hat_admissible(v, q, r):
+                    edges.append(Edge(i, index[apply_T_hat(v, q, r).levels], f"That:{q},{r}"))
+    return edges
+
+
+def test_graph_edges_match_probed_edges(small_battery):
+    for curve in small_battery:
+        graph = build_graph(curve)
+        assert [v.levels for v in graph.vertices] == sorted(
+            d.levels for d in enumerate_divisors(curve, DivisorKind.XI)
+        )
+        assert list(graph.edges) == _probed_edges(graph)
 
 
 def test_graph_m_edges_have_inverses():
@@ -104,7 +128,7 @@ def test_m_orbits_are_free(small_battery):
 )
 def test_single_component(n, alphas):
     graph = build_graph(CurveSpec.from_alphas(n, alphas))
-    assert len(components(graph)) == 1
+    assert len(graph.components()) == 1
 
 
 def test_witness_words_replay():
@@ -266,9 +290,9 @@ def test_family_m3_counts_and_fit():
 
 def test_family_skips_degenerate_n():
     family = FamilySpec((1, 1, 1), (3,))
-    report = count_family(family, [3, 4, 5, 6, 7])
+    report = count_family(family, [0, 1, 3, 4, 5, 6, 7])
     skipped = {c.n for c in report.counts if c.skipped}
-    assert skipped == {3, 6}
+    assert skipped == {0, 1, 3, 6}
     by_n = {c.n: c for c in report.valid_counts()}
     assert by_n[7].total_divisors == 18
     assert by_n[4].m_orbits == 6 and by_n[5].m_orbits == 6
@@ -333,5 +357,3 @@ def test_family_spec_validation():
         FamilySpec((1, 2), (1,))
     with pytest.raises(DivisorError):
         FamilySpec((), ())
-    xs, ys = FamilySpec((1, 1, 2), (1, 3)).partitions()
-    assert xs == {1: 2, 2: 1} and ys == {1: 1, 3: 1}
