@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .curve import CurveError, CurveSpec, load_curve
+from .curve import CurveError, CurveSpec, is_int, load_curve
 from .denominators import (
     EvalMode,
     degree,
@@ -107,7 +107,7 @@ def _load_divisor(path: str, curve: CurveSpec) -> LeveledDivisor:
         levels = tuple(data["levels"])
     except (KeyError, ValueError, TypeError) as exc:
         raise DivisorError(f"{path}: divisor document needs 'kind' and 'levels'") from exc
-    if len(levels) != curve.point_count or not all(isinstance(l, int) for l in levels):
+    if len(levels) != curve.point_count or not all(is_int(l) for l in levels):
         raise DivisorError(f"{path}: need one integer level per branch point")
     return LeveledDivisor(curve, levels, kind)
 

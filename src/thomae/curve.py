@@ -181,6 +181,11 @@ def _parse_exact(value) -> Fraction:
     raise CurveError(f"cannot parse {value!r} as an exact rational")
 
 
+def is_int(value) -> bool:
+    """A JSON integer; true and false load as Python ints but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def curve_from_dict(data: dict) -> CurveSpec:
     """Build a curve from the JSON document format, checking all invariants."""
     try:
@@ -188,7 +193,7 @@ def curve_from_dict(data: dict) -> CurveSpec:
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise CurveError(f"curve document needs 'n' and 'points': {exc}") from exc
-    if not isinstance(n, int):
+    if not is_int(n):
         raise CurveError(f"'n' must be an integer, got {n!r}")
     if not isinstance(raw_points, list):
         raise CurveError("'points' must be a list")
@@ -197,7 +202,7 @@ def curve_from_dict(data: dict) -> CurveSpec:
         if not isinstance(rp, dict) or "alpha" not in rp:
             raise CurveError(f"point {i}: expected an object with 'alpha'")
         alpha = rp["alpha"]
-        if not isinstance(alpha, int):
+        if not is_int(alpha):
             raise CurveError(f"point {i}: alpha must be an integer")
         lam = _parse_exact(rp["lambda"]) if "lambda" in rp else None
         label = rp.get("label")

@@ -9,7 +9,9 @@ left-hand sides drive the specialty index.
 
 Enumeration is two-staged: first the per-class level-count matrices solving
 the linear conditions, then the multinomial expansion assigning the labeled
-points of each class to levels.  Counting skips the expansion.
+points of each class to levels.  Counting skips the expansion.  The matrix
+search gives each level of a class a feasible interval for how many of the
+class's points lie at or below it, so every row it starts is completed.
 """
 
 from __future__ import annotations
@@ -172,63 +174,59 @@ def enumerate_cardinality_matrices(
 ) -> Iterator[CardinalityMatrix]:
     """All level-count matrices meeting the row sums and the k-conditions.
 
-    Classes are processed in input order, levels ascending inside a class;
-    after every placed count each k-condition is checked against what the
-    still-unplaced points could possibly contribute, so infeasible branches
-    die as early as possible.  The output order is deterministic.
+    Classes are placed in input order, one row each, and the matrices come
+    out in ascending lexicographic order of their concatenated rows.  Before
+    a class is placed, no condition is over its target and each can still
+    reach it with the unplaced points.  Inside the class, let p_l count its
+    points at levels <= l.  Every condition whose threshold alpha*k mod n
+    lies above l receives p_l, so p_l may not exceed their least remaining
+    room; the one whose threshold is l+1 receives nothing from the higher
+    levels, so p_l must bring it within reach of the later classes.  The
+    other lower bounds do not depend on how the class splits, so they were
+    checked before it began.  These per-level intervals have upper ends that
+    never fall with l, so the rows of a class are exactly the nondecreasing
+    p inside them, walked in order with no dead ends; the last class has at
+    most one, and once it is placed every condition sits on its target.
     """
     n = spec.n
     targets = [spec.t_value(k) - kind.shift for k in range(1, n)]
-    if any(tg < 0 for tg in targets):
+    if any(not 0 <= tg <= spec.point_count for tg in targets):
         return
     classes = spec.classes
     rvals = [spec.r(a) for a in classes]
-    # counts placed at level l of class ci feed the conditions k whose
-    # threshold alpha*k mod n lies above l
-    contributes = [
-        [tuple(k for k in range(n - 1) if (a * (k + 1)) % n > l) for l in range(n)]
-        for a in classes
-    ]
-    later = [
-        [frozenset(row[l + 1] if l + 1 < n else ()) for l in range(n)]
-        for row in contributes
-    ]
     tail_r = [sum(rvals[i + 1 :]) for i in range(len(classes))]
+    # slots[ci][k]: the highest level of class ci below condition k's threshold
+    slots = [[(a * (k + 1)) % n - 1 for k in range(n - 1)] for a in classes]
+    by_slot = [sorted(range(n - 1), key=slot.__getitem__) for slot in slots]
 
-    def place(ci: int, level: int, left: int, row: list[int], acc: list[int], chosen: list):
-        if level == n:
-            if left == 0:
-                chosen.append((classes[ci], tuple(row)))
-                yield from rec(ci + 1, acc, chosen)
-                chosen.pop()
-            return
-        conds = contributes[ci][level]
-        still = later[ci][level]
-        for c in range(left + 1):
-            row[level] = c
-            for k in conds:
-                acc[k] += c
-            rest = left - c
-            ok = True
-            for k in range(n - 1):
-                room = tail_r[ci] + (rest if k in still else 0)
-                if acc[k] > targets[k] or acc[k] + room < targets[k]:
-                    ok = False
-                    break
-            if ok:
-                yield from place(ci, level + 1, rest, row, acc, chosen)
-            for k in conds:
-                acc[k] -= c
-        row[level] = 0
-
-    def rec(ci: int, acc: list[int], chosen: list):
+    def rec(ci: int, room: list[int], chosen: list):
+        """room[k]: how many more points may lie below condition k's threshold."""
         if ci == len(classes):
-            if all(acc[k] == targets[k] for k in range(n - 1)):
-                yield CardinalityMatrix(spec, tuple(chosen), kind)
+            yield CardinalityMatrix(spec, tuple(chosen), kind)
             return
-        yield from place(ci, 0, rvals[ci], [0] * n, acc, chosen)
+        r, slot = rvals[ci], slots[ci]
+        # prefix[l], the class's points at levels <= l, lies in [low[l], high[l]]
+        last = [room[k] for k in by_slot[ci]]
+        low = [v - tail_r[ci] for v in last]
+        high = [min(r, v) for v in itertools.accumulate(reversed(last), min)][::-1]
+        prefix = list(itertools.accumulate(low, max, initial=0))[1:]
+        if any(p > h for p, h in zip(prefix, high)):
+            return
+        while True:
+            row = tuple(b - a for a, b in zip([0, *prefix], [*prefix, r]))
+            chosen.append((classes[ci], row))
+            yield from rec(ci + 1, [room[k] - prefix[l] for k, l in enumerate(slot)], chosen)
+            chosen.pop()
+            l = n - 2
+            while l >= 0 and prefix[l] == high[l]:
+                l -= 1
+            if l < 0:
+                return
+            prefix[l] += 1
+            for j in range(l + 1, n - 1):
+                prefix[j] = max(prefix[j - 1], low[j])
 
-    yield from rec(0, [0] * (n - 1), [])
+    yield from rec(0, targets, [])
 
 
 def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[LeveledDivisor]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .curve import CurveSpec
+from .curve import CurveSpec, is_int
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -224,6 +224,8 @@ class FamilySpec:
     d: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(is_int(v) for v in self.c + self.d):
+            raise DivisorError("exponents must be integers")
         if sum(self.c) != sum(self.d):
             raise DivisorError("the c and d exponent sums must agree")
         if not self.c or not self.d:
@@ -302,10 +304,13 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
         xi_total = count_divisors(spec, DivisorKind.XI)
         if xi_total % n != 0:
             raise DivisorError(f"rotation orbits are not free at n = {n}")
-        avoid = tuple(
-            count_divisors(spec, DivisorKind.DELTA, avoid=i)
-            for i in range(spec.point_count)
-        )
+        # the conditions see only alpha, so the points of a class are
+        # interchangeable: count once per class, at its first point
+        by_class = {
+            a: count_divisors(spec, DivisorKind.DELTA, avoid=spec.alphas.index(a))
+            for a in spec.classes
+        }
+        avoid = tuple(by_class[a] for a in spec.alphas)
         rows.append(
             FamilyCount(
                 n=n,

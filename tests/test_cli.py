@@ -273,6 +273,10 @@ def test_csv_format_counts(capsys, tmp_path):
         ["verify", "--suite", "bogus"],
         ["verify", "--max-vertices", "0"],
         ["enumerate", "--avoid", "9"],
+        ["counts", "--family", "@float_family", "--n-range", "2..5"],
+        ["counts", "--family", "@bool_family", "--n-range", "2..5"],
+        ["enumerate", "--curve", "@bool_alpha_curve", "--count-only"],
+        ["apply", "--divisor", "@bool_level_divisor", "--op", "N"],
     ],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
@@ -282,6 +286,13 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
     )
     divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 1, 2]})
     family = write(tmp_path / "f.json", {"c": [1, 1, 1], "d": [1, 1, 1]})
+    # a float or a JSON boolean (which loads as a Python int) where an integer belongs
+    bad_files = {
+        "@float_family": {"c": [1.5, 1], "d": [1, 1.5]},
+        "@bool_family": {"c": [True, 1], "d": [2]},
+        "@bool_alpha_curve": {"n": 7, "points": [{"alpha": True}, {"alpha": 2}, {"alpha": 4}]},
+        "@bool_level_divisor": {"kind": "xi", "levels": [0, True, 1]},
+    }
     inputs = {
         "apply": ["--curve", curve, "--divisor", divisor],
         "counts": ["--family", family],
@@ -289,7 +300,11 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
         "verify": ["--curve", curve],
         "enumerate": ["--curve", curve],
     }
-    code, _, err = run(capsys, *argv, *inputs[argv[0]])
+    # argparse keeps a flag's last value, so a case's own inputs override the defaults
+    given = [
+        write(tmp_path / f"{a[1:]}.json", bad_files[a]) if a in bad_files else a for a in argv
+    ]
+    code, _, err = run(capsys, given[0], *inputs[argv[0]], *given[1:])
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

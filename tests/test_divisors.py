@@ -232,6 +232,34 @@ def test_enumeration_matches_brute_force():
             assert len(set(fast)) == len(fast)
 
 
+def test_search_matches_brute_force_on_full_battery(full_battery):
+    """The matrix search yields exactly the distinct per-class level-count
+    matrices of the brute-force divisors, each once, in ascending
+    lexicographic order of the concatenated rows, and the counts agree."""
+    for curve in full_battery:
+        members = [[i for i, a in enumerate(curve.alphas) if a == c] for c in curve.classes]
+        for kind in DivisorKind:
+            brute = brute_force_divisors(curve, kind)
+            expected = sorted(
+                {
+                    tuple(
+                        tuple(sum(1 for i in pts if d.levels[i] == l) for l in range(curve.n))
+                        for pts in members
+                    )
+                    for d in brute
+                }
+            )
+            matrices = list(enumerate_cardinality_matrices(curve, kind))
+            assert all(tuple(a for a, _ in m.counts) == curve.classes for m in matrices)
+            # every row has n entries, so tuple order is concatenated-row order
+            assert [tuple(row for _, row in m.counts) for m in matrices] == expected
+            assert count_divisors(curve, kind) == len(brute)
+            for i in range(curve.point_count):
+                slot = kind.avoided_level(curve, i)
+                direct = sum(1 for d in brute if d.levels[i] == slot)
+                assert count_divisors(curve, kind, avoid=i) == direct
+
+
 def test_enumeration_empty_for_gdt_curve():
     curve = CurveSpec.from_alphas(17, [1, 2, 14])
     assert list(enumerate_cardinality_matrices(curve, DivisorKind.DELTA)) == []

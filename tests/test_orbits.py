@@ -13,6 +13,7 @@ from thomae import (
     apply_T_hat,
     build_graph,
     count_base_point_free,
+    count_divisors,
     count_family,
     difbeta_hypothesis,
     difbeta_reachability,
@@ -286,6 +287,20 @@ def test_family_m3_counts_and_fit():
     coeffs, residuals = report.fit["total_divisors"]
     assert coeffs == (Fraction(33), Fraction(-45), Fraction(18))
     assert all(r == 0 for r in residuals)
+
+
+def test_family_avoid_counts_are_per_point_counts():
+    # count_family counts once per class; this family has four classes at
+    # every valid n (no curve tried so far has counts that differ by class)
+    family = FamilySpec((1, 2), (1, 2))
+    rows = count_family(family, range(5, 12)).valid_counts()
+    assert len(rows) == 4
+    for row in rows:
+        spec = family.curve(row.n)
+        assert len(spec.classes) == 4
+        assert row.per_point_avoid == tuple(
+            count_divisors(spec, DivisorKind.DELTA, avoid=i) for i in range(spec.point_count)
+        )
 
 
 def test_family_skips_degenerate_n():
