@@ -39,6 +39,7 @@ from .divisors import (
     LeveledDivisor,
     brute_force_divisors,
     contains_nth_power,
+    count_base_point_free,
     count_divisors,
     divisor_from_exponents,
     enumerate_cardinality_matrices,
@@ -79,7 +80,6 @@ from .orbits import (
     OrbitGraph,
     ReachabilityPreconditionError,
     build_graph,
-    count_base_point_free,
     count_family,
     difbeta_hypothesis,
     difbeta_reachability,

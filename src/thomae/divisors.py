@@ -7,19 +7,23 @@ level lies below alpha*k mod n equals t_k - 1; the shifted family of degree
 g+n-1 (kind XI) uses t_k instead, so one test serves both kinds.  The same
 left-hand sides drive the specialty index.
 
-Enumeration is two-staged: first the per-class level-count matrices solving
-the linear conditions, then the multinomial expansion assigning the labeled
-points of each class to levels.  Counting skips the expansion.  The matrix
-search gives each level of a class a feasible interval for how many of the
-class's points lie at or below it, so every row it starts is completed.
+Listing is two-staged: first the per-class level-count matrices solving
+the linear conditions, then the expansion assigning the labeled points of
+each class to levels.  The matrix search gives each level of a class a
+feasible interval for how many of the class's points lie at or below it, so
+every row it starts is completed.
+
+Counting builds no matrix: it meets in the middle over the points' packed
+contributions to the n-1 conditions (see ``_count_assignments``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from functools import reduce
 from typing import Iterator, Optional
 
 from .curve import CurveSpec
@@ -153,21 +157,6 @@ class CardinalityMatrix:
             if sum(row) != self.curve.r(alpha):
                 raise DivisorError(f"row for class {alpha} must sum to r_{alpha}")
 
-    def expansion_size(self) -> int:
-        total = 1
-        for _, row in self.counts:
-            total *= _multinomial(row)
-        return total
-
-
-def _multinomial(row: tuple[int, ...]) -> int:
-    total = 1
-    remaining = sum(row)
-    for c in row:
-        total *= comb(remaining, c)
-        remaining -= c
-    return total
-
 
 def enumerate_cardinality_matrices(
     spec: CurveSpec, kind: DivisorKind
@@ -280,28 +269,49 @@ def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivi
     return out
 
 
-def count_divisors(
-    spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = None
-) -> int:
-    """Exact count of valid divisors, computed without expanding the matrices.
+STATE_BUDGET = 1_000_000  # partial sums a half-table of a count may hold
 
-    With ``avoid`` set, counts the divisors in which that point appears with
-    exponent 0 for kind DELTA, and with exponent n-1 (the base-point slot)
-    for kind XI.
-    """
-    fixed_level = None if avoid is None else kind.avoided_level(spec, avoid)
-    total = 0
-    for matrix in enumerate_cardinality_matrices(spec, kind):
-        term = 1
-        for alpha, row in matrix.counts:
-            if avoid is not None and spec.points[avoid].alpha == alpha:
-                if row[fixed_level] == 0:
-                    term = 0
-                    break
-                reduced = list(row)
-                reduced[fixed_level] -= 1
-                term *= _multinomial(tuple(reduced))
-            else:
-                term *= _multinomial(row)
-        total += term
-    return total
+
+def _fold(table: Counter, steps: list[int]) -> Counter:
+    """Each partial sum in ``table`` plus each of ``steps``, with multiplicity."""
+    out: Counter = Counter()
+    for total, ways in table.items():
+        for step in steps:
+            out[total + step] += ways
+        if len(out) > STATE_BUDGET:
+            raise DivisorError(f"counting needs over {STATE_BUDGET:,} partial sums; refused")
+    return out
+
+
+def _count_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> int:
+    """Assignments meeting the conditions of ``kind`` with point i at a level in allowed[i];
+    half the points fold forward from 0, the rest but one back from the target."""
+    base = spec.point_count + 1
+    targets = [spec.t_value(k) - kind.shift for k in range(1, spec.n)]
+    if any(not 0 <= tg <= spec.point_count for tg in targets):
+        return 0
+    # point i at level l adds base**(k-1) when l < alpha_i*k mod n, and no count reaches
+    # the base, so sums never carry; a class's points sit together, so tables hold multisets
+    order = sorted(range(spec.point_count), key=spec.alphas.__getitem__)
+    *rest, last = [[sum(base**k for k, thr in enumerate(spec.thresholds) if l < thr[i])
+                    for l in allowed[i]] for i in order] or [[0]]
+    half = (len(rest) + 1) // 2
+    front = reduce(_fold, rest[:half], Counter({0: 1}))
+    back = reduce(_fold, ([-w for w in ws] for ws in rest[half:]),
+                  Counter({sum(tg * base**k for k, tg in enumerate(targets)): 1}))
+    return sum(ways * front.get(total - w, 0) for total, ways in back.items() for w in last)
+
+
+def count_divisors(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = None) -> int:
+    """Exact count of valid divisors by a packed-vector meet in the middle, with
+    no matrix search; with ``avoid`` set, of those with that point at
+    ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` sums."""
+    allowed = [range(spec.n)] * spec.point_count
+    if avoid is not None:
+        allowed[avoid] = (kind.avoided_level(spec, avoid),)
+    return _count_assignments(spec, kind, allowed)
+
+
+def count_base_point_free(spec: CurveSpec) -> int:
+    """Shifted divisors in which no point sits at level 0 (no base-point form)."""
+    return _count_assignments(spec, DivisorKind.XI, [range(1, spec.n)] * spec.point_count)

@@ -21,6 +21,7 @@ from .divisors import (
     DivisorError,
     DivisorKind,
     LeveledDivisor,
+    count_base_point_free,
     count_divisors,
     enumerate_divisors,
 )
@@ -250,17 +251,6 @@ class FamilySpec:
             return None
         spec = CurveSpec.from_alphas(n, alphas)
         return spec if not spec.validate() else None
-
-
-def count_base_point_free(spec: CurveSpec) -> int:
-    """Shifted divisors in which no point sits at level 0 (no base-point form)."""
-    from .divisors import enumerate_cardinality_matrices
-
-    total = 0
-    for matrix in enumerate_cardinality_matrices(spec, DivisorKind.XI):
-        if all(row[0] == 0 for _, row in matrix.counts):
-            total += matrix.expansion_size()
-    return total
 
 
 @dataclass(frozen=True)

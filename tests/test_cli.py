@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from thomae import divisors
 from thomae.cli import main
 
 
@@ -328,3 +329,16 @@ def test_avoid_listing_agrees_with_count_only(capsys, tmp_path):
                 code, out, err = run(capsys, *base, point, *extra)
                 assert code == 1 and out == ""
                 assert err == f"error: no point with index {point}\n"
+
+
+def test_count_past_state_budget_is_one_error_line(capsys, tmp_path, monkeypatch):
+    curve = write(
+        tmp_path / "c.json", {"n": 12, "points": [{"alpha": a} for a in (1, 5, 7, 11) * 2]}
+    )
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 100)
+    for extra in ([], ["--avoid", "0"]):
+        code, out, err = run(
+            capsys, "enumerate", "--curve", curve, "--kind", "xi", "--count-only", *extra
+        )
+        assert code == 1 and out == ""
+        assert err == "error: counting needs over 100 partial sums; refused\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from thomae import (
     LeveledDivisor,
     brute_force_divisors,
     contains_nth_power,
+    count_base_point_free,
     count_divisors,
     divisor_from_exponents,
     enumerate_cardinality_matrices,
@@ -19,9 +21,18 @@ from thomae import (
     specialty_index,
     s_value,
 )
+from thomae import divisors
 from thomae.divisors import CardinalityMatrix
 
 from conftest import curve_battery
+
+
+def expansion_size(matrix):
+    """Labeled assignments with the matrix's per-class counts: one
+    multinomial coefficient per row."""
+    return math.prod(
+        math.comb(sum(row[l:]), row[l]) for _, row in matrix.counts for l in range(len(row))
+    )
 
 
 def delta_of(curve, exponents):
@@ -235,7 +246,8 @@ def test_enumeration_matches_brute_force():
 def test_search_matches_brute_force_on_full_battery(full_battery):
     """The matrix search yields exactly the distinct per-class level-count
     matrices of the brute-force divisors, each once, in ascending
-    lexicographic order of the concatenated rows, and the counts agree."""
+    lexicographic order of the concatenated rows, and the counts agree,
+    base-point-free counts included."""
     for curve in full_battery:
         members = [[i for i, a in enumerate(curve.alphas) if a == c] for c in curve.classes]
         for kind in DivisorKind:
@@ -258,6 +270,9 @@ def test_search_matches_brute_force_on_full_battery(full_battery):
                 slot = kind.avoided_level(curve, i)
                 direct = sum(1 for d in brute if d.levels[i] == slot)
                 assert count_divisors(curve, kind, avoid=i) == direct
+            if kind is DivisorKind.XI:
+                free = sum(1 for d in brute if 0 not in d.levels)
+                assert count_base_point_free(curve) == free
 
 
 def test_enumeration_empty_for_gdt_curve():
@@ -272,7 +287,7 @@ def test_expansion_sizes():
     assert matrices
     for matrix in matrices:
         expanded = list(expand_matrix(matrix, curve))
-        assert len(expanded) == matrix.expansion_size()
+        assert len(expanded) == expansion_size(matrix)
         assert len({d.levels for d in expanded}) == len(expanded)
 
 
@@ -287,7 +302,7 @@ def test_matrices_carry_their_kind(small_battery):
 def test_expand_single_assignment():
     curve = CurveSpec.from_alphas(3, [1, 1, 1])
     matrix = CardinalityMatrix(curve, ((1, (3, 0, 0)),), DivisorKind.XI)
-    assert matrix.expansion_size() == 1
+    assert expansion_size(matrix) == 1
     (only,) = expand_matrix(matrix, curve)
     assert only.levels == (0, 0, 0)
 
@@ -295,8 +310,45 @@ def test_expand_single_assignment():
 def test_expand_two_choices():
     curve = CurveSpec.from_alphas(2, [1, 1, 1, 1])
     matrix = CardinalityMatrix(curve, ((1, (2, 2)),), DivisorKind.XI)
-    assert matrix.expansion_size() == 6
+    assert expansion_size(matrix) == 6
     assert len(list(expand_matrix(matrix, curve))) == 6
+
+
+@pytest.mark.parametrize(
+    "n, alphas, kind, count",
+    [
+        (14, [1, 3, 5, 9, 11, 13], DivisorKind.XI, 4_088),
+        (14, [1, 3, 5, 9, 11, 13], DivisorKind.DELTA, 885),
+        (12, [1, 5, 7, 11] * 2, DivisorKind.DELTA, 44_512),
+        (16, [1, 3, 5, 7, 9, 11, 13, 15], DivisorKind.XI, 133_344),
+    ],
+)
+def test_counts_beyond_the_battery(n, alphas, kind, count):
+    """Shapes outside the battery: n > 8 with many classes, or several
+    points per class; wide14 is also checked against the matrix walk."""
+    curve = CurveSpec.from_alphas(n, alphas)
+    assert count_divisors(curve, kind) == count
+    if n == 14:
+        matrices = enumerate_cardinality_matrices(curve, kind)
+        assert sum(expansion_size(m) for m in matrices) == count
+
+
+def test_count_refuses_past_state_budget(monkeypatch):
+    curve = CurveSpec.from_alphas(12, [1, 5, 7, 11] * 2)
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 100)
+    for count in (
+        lambda: count_divisors(curve, DivisorKind.XI),
+        lambda: count_divisors(curve, DivisorKind.DELTA, avoid=0),
+        lambda: count_base_point_free(curve),
+    ):
+        with pytest.raises(DivisorError, match="partial sums"):
+            count()
+    # the largest half-table of this count holds 4,423 partial sums
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 4_423)
+    assert count_divisors(curve, DivisorKind.XI) == 137_928
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 4_422)
+    with pytest.raises(DivisorError):
+        count_divisors(curve, DivisorKind.XI)
 
 
 def test_m3_counts():
