@@ -10,7 +10,10 @@ Three denominators are built here:
 * ``full_denominator`` (h): for every pair of nonempty (class, level) slots
   the unit exponent is c^(n)_d - f^(n)_d(l) with d = alpha * delta^{-1} mod n
   and l the twisted level offset; invariant under the negation and rotation
-  operators, and assembly order never matters.
+  operators.  The exponent of every (class, level) x (class, level) pair is
+  tabulated once per (n, classes), so h reads one entry per point pair; the
+  walk over the divisor's slots in a caller-chosen order stays as the oracle
+  that the order of assembly never matters.
 * ``pmt_denominator`` (g^beta): the base-point-invariant two-block product.
 * ``pmt_gamma_denominator`` (q^{Q,gamma}): the single-class denominator for a
   divisor in base-point form.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .curve import CurveSpec, e_factor, k_inverse
@@ -49,14 +53,33 @@ class ExponentMatrix:
     __slots__ = ("curve", "_entries")
 
     def __init__(self, curve: CurveSpec, entries: Optional[Mapping[tuple[int, int], int]] = None):
-        self.curve = curve
+        """Entries keyed by point pairs in either order; each unordered pair of
+        two distinct points of the curve may be given once."""
+        p = curve.point_count
         clean: dict[tuple[int, int], int] = {}
+        seen: set[tuple[int, int]] = set()
         for (i, j), v in (entries or {}).items():
             if i == j:
                 raise DivisorError("diagonal pairs are not allowed")
+            if not (0 <= i < p and 0 <= j < p):
+                raise DivisorError(f"pair ({i}, {j}) names a point outside 0..{p - 1}")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise DivisorError(f"pair {key} is given twice")
+            seen.add(key)
             if v != 0:
-                clean[(min(i, j), max(i, j))] = v
+                clean[key] = v
+        self.curve = curve
         self._entries = clean
+
+    @classmethod
+    def _normalised(cls, curve: CurveSpec, entries: dict[tuple[int, int], int]) -> "ExponentMatrix":
+        """The matrix of ``entries`` whose keys are already pairs (i, j) of
+        points of the curve with i < j; only the zero values are dropped."""
+        out = cls.__new__(cls)
+        out.curve = curve
+        out._entries = {k: v for k, v in entries.items() if v}
+        return out
 
     def unit_exponent(self, i: int, j: int) -> int:
         return self._entries.get((min(i, j), max(i, j)), 0)
@@ -90,7 +113,7 @@ class ExponentMatrix:
         out = dict(self._entries)
         for k, v in other._entries.items():
             out[k] = out.get(k, 0) + v
-        return ExponentMatrix(self.curve, out)
+        return ExponentMatrix._normalised(self.curve, out)
 
     def degree_units(self) -> int:
         return sum(self._entries.values())
@@ -106,7 +129,7 @@ def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     out = dict(a._entries)
     for k, v in b._entries.items():
         out[k] = out.get(k, 0) - v
-    return ExponentMatrix(a.curve, out)
+    return ExponentMatrix._normalised(a.curve, out)
 
 
 def degree(matrix: ExponentMatrix) -> int:
@@ -141,7 +164,7 @@ class _Builder:
                 self.acc[key] = self.acc.get(key, 0) + coef
 
     def build(self) -> ExponentMatrix:
-        return ExponentMatrix(self.curve, self.acc)
+        return ExponentMatrix._normalised(self.curve, self.acc)
 
 
 def _require_xi(xi: LeveledDivisor) -> None:
@@ -149,31 +172,86 @@ def _require_xi(xi: LeveledDivisor) -> None:
         raise DivisorError("denominators are built from divisors of kind XI")
 
 
+def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
+    """c^(n)_d - f^(n)_d(l) for the slot pair walked from ``first`` = (delta, r)
+    to ``second`` = (alpha, l'), where d = alpha * delta^{-1} and l = l' - r * d mod n."""
+    (delta, r), (alpha, lj) = first, second
+    d = (alpha * k_inverse(delta, n)) % n
+    return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
+
+
+class _PairRows(dict):
+    """Slot number -> the unit exponent of that slot against every slot, by
+    slot number.  A row is computed the first time a divisor occupies its
+    slot: the whole table has (classes * n)^2 entries, and one h on a large
+    curve reads only the rows of its own points."""
+
+    def __init__(self, n: int, slots: list[tuple[int, int]]):
+        super().__init__()
+        self.n = n
+        self.slots = slots
+
+    def __missing__(self, s: int) -> tuple[int, ...]:
+        mine = self.slots[s]
+        row = self[s] = tuple(
+            _slot_pair_exponent(self.n, min(mine, other), max(mine, other)) for other in self.slots
+        )
+        return row
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int, classes: tuple[int, ...]) -> tuple[dict[int, int], _PairRows]:
+    """Slot numbers and the unit exponent of every pair of (class, level) slots.
+
+    Slot (alpha, l) is numbered offset[alpha] + l, with the classes in
+    ascending order, so slot numbers order the same way as the slots do.
+    rows[s][t] walks from the lower of s and t to the higher, exactly as the
+    sorted slot walk does, so the table is symmetric.
+    """
+    ordered = sorted(classes)
+    offset = {a: i * n for i, a in enumerate(ordered)}
+    return offset, _PairRows(n, [(a, l) for a in ordered for l in range(n)])
+
+
 def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> ExponentMatrix:
     """The full denominator h of a valid shifted divisor.
 
-    ``slot_order`` overrides the order in which the nonempty (class, level)
-    slots are paired; the result is provably order independent, which the
-    tests exercise by passing a reversed order.
+    Each point pair reads its unit exponent from the per-curve table of
+    (class, level) slot pairs, ``_pair_table``.  ``slot_order`` instead walks
+    the divisor's nonempty slots in the given order, pairing every slot with
+    itself and with each later one; that walk is the oracle for the table and
+    for order independence, which the tests exercise by passing a reversed
+    order.
     """
     _require_xi(xi)
+    curve = xi.curve
+    n = curve.n
+    if slot_order is not None:
+        return _slot_walk(xi, list(slot_order))
+    offset, rows = _pair_table(n, curve.classes)
+    slot = [offset[a] + l for a, l in zip(curve.alphas, xi.levels)]
+    entries = {}
+    for i, s in enumerate(slot):
+        row = rows[s]
+        for j in range(i + 1, len(slot)):
+            entries[(i, j)] = row[slot[j]]
+    return ExponentMatrix._normalised(curve, entries)
+
+
+def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
+    """h assembled block by block over the nonempty slots in the order given."""
     n = xi.curve.n
     sets = xi.sets()
-    slots = sorted(sets) if slot_order is None else list(slot_order)
     if sorted(slots) != sorted(sets):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
     out = _Builder(xi.curve)
-    for i, (delta, r) in enumerate(slots):
-        kd = k_inverse(delta, n)
+    for i, first in enumerate(slots):
         for j in range(i, len(slots)):
-            alpha, lj = slots[j]
-            d = (alpha * kd) % n
-            l = (lj - r * d) % n
-            coef = c_constant(n, d) - f_chain(n, d)[l]
+            coef = _slot_pair_exponent(n, first, slots[j])
             if i == j:
-                out.add_self_block(sets[(delta, r)], coef)
+                out.add_self_block(sets[first], coef)
             else:
-                out.add_block(sets[(delta, r)], sets[(alpha, lj)], coef)
+                out.add_block(sets[first], sets[slots[j]], coef)
     return out.build()
 
 

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from operator import lt
 from typing import Iterator, Optional
 
 from .curve import CurveSpec
@@ -58,10 +59,11 @@ class LeveledDivisor:
 
     def __post_init__(self):
         n = self.curve.n
-        if len(self.levels) != self.curve.point_count:
+        levels = self.levels
+        if len(levels) != self.curve.point_count:
             raise DivisorError("one level per branch point required")
-        if any(not 0 <= l <= n - 1 for l in self.levels):
-            raise DivisorError(f"levels must lie in 0..{n - 1}: {self.levels}")
+        if levels and (min(levels) < 0 or max(levels) > n - 1):
+            raise DivisorError(f"levels must lie in 0..{n - 1}: {levels}")
 
     def exponent(self, point: int) -> int:
         return self.curve.n - 1 - self.levels[point]
@@ -97,11 +99,17 @@ def condition_lhs(divisor: LeveledDivisor, k: int) -> int:
     return sum(1 for l, t in zip(divisor.levels, thr) if l < t)
 
 
+def _meets(spec: CurveSpec, levels: tuple[int, ...], shift: int) -> bool:
+    """For every k, exactly t_k - shift of the levels lie below alpha * k mod n."""
+    for thr, t in zip(spec.thresholds, spec.t_values[1:]):
+        if sum(map(lt, levels, thr)) != t - shift:
+            return False
+    return True
+
+
 def satisfies_conditions(divisor: LeveledDivisor) -> bool:
     """Every k-condition of the divisor's kind: lhs_k = t_k - kind.shift."""
-    spec = divisor.curve
-    shift = divisor.kind.shift
-    return all(condition_lhs(divisor, k) == spec.t_value(k) - shift for k in range(1, spec.n))
+    return _meets(divisor.curve, divisor.levels, divisor.kind.shift)
 
 
 def specialty_index(divisor: LeveledDivisor) -> int:
@@ -261,12 +269,12 @@ def enumerate_divisors(spec: CurveSpec, kind: DivisorKind) -> Iterator[LeveledDi
 
 def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivisor]:
     """Filter of all n^points level assignments; the enumeration oracle."""
-    out = []
-    for levels in itertools.product(range(spec.n), repeat=spec.point_count):
-        div = LeveledDivisor(spec, levels, kind)
-        if satisfies_conditions(div):
-            out.append(div)
-    return out
+    shift = kind.shift
+    return [
+        LeveledDivisor(spec, levels, kind)
+        for levels in itertools.product(range(spec.n), repeat=spec.point_count)
+        if _meets(spec, levels, shift)
+    ]
 
 
 STATE_BUDGET = 1_000_000  # partial sums a half-table of a count may hold

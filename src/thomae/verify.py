@@ -43,8 +43,10 @@ from .operators import (
     apply_T,
     apply_T_hat,
     t_admissible,
-    t_hat_admissible,
+    t_hat_partners,
 )
+
+BRUTE_FORCE_LIMIT = 200_000  # the brute-force checks run only when n ** points is at most this
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class Verifier:
 
     def check_enumeration(self) -> None:
         spec = self.spec
-        if spec.n ** spec.point_count > 200000:
+        if spec.n ** spec.point_count > BRUTE_FORCE_LIMIT:
             return  # brute-force cross-check only affordable on small curves
         for kind in (DivisorKind.DELTA, DivisorKind.XI):
             found = self.xis if kind is DivisorKind.XI else enumerate_divisors(spec, kind)
@@ -125,13 +127,14 @@ class Verifier:
 
     def check_nonspecial_equivalence(self) -> None:
         spec = self.spec
-        if spec.n ** spec.point_count > 200000:
+        if spec.n ** spec.point_count > BRUTE_FORCE_LIMIT:
             return
-        g = spec.genus()
+        # degree g means exponents n-1-l summing to g
+        level_sum = spec.point_count * (spec.n - 1) - spec.genus()
         for levels in itertools.product(range(spec.n), repeat=spec.point_count):
-            div = LeveledDivisor(spec, levels, DivisorKind.DELTA)
-            if div.degree != g:
+            if sum(levels) != level_sum:
                 continue
+            div = LeveledDivisor(spec, levels, DivisorKind.DELTA)
             if (specialty_index(div) == 0) != satisfies_conditions(div):
                 self._record(
                     "nonspecial-equivalence",
@@ -158,10 +161,10 @@ class Verifier:
             if not satisfies_conditions(apply_M(xi, 1)):
                 self._record("operators", f"M of {xi.levels} is invalid")
             for q in range(spec.point_count):
-                for r in range(spec.point_count):
-                    if q == r:
-                        continue
-                    if t_admissible(xi, q, r):
+                if xi.levels[q] == 0:  # T needs its base point Q at level 0
+                    for r in range(spec.point_count):
+                        if not t_admissible(xi, q, r):
+                            continue
                         image = apply_T(xi, q, r)
                         if not satisfies_conditions(image):
                             self._record("operators", f"T:{q},{r} of {xi.levels} is invalid")
@@ -173,14 +176,12 @@ class Verifier:
                             self._record(
                                 "operators", f"T:{q},{r} not an involution at {xi.levels}"
                             )
-                    if t_hat_admissible(xi, q, r):
-                        image = apply_T_hat(xi, q, r)
-                        if not satisfies_conditions(image):
-                            self._record("operators", f"That:{q},{r} of {xi.levels} is invalid")
-                        if apply_T_hat(image, r, q).levels != xi.levels:
-                            self._record(
-                                "operators", f"That:{r},{q} does not invert at {xi.levels}"
-                            )
+                for r in t_hat_partners(xi, q):
+                    image = apply_T_hat(xi, q, r)
+                    if not satisfies_conditions(image):
+                        self._record("operators", f"That:{q},{r} of {xi.levels} is invalid")
+                    if apply_T_hat(image, r, q).levels != xi.levels:
+                        self._record("operators", f"That:{r},{q} does not invert at {xi.levels}")
 
     def check_denominators(self) -> None:
         spec = self.spec

@@ -24,9 +24,11 @@ from thomae import (
     pmt_denominator,
     pmt_gamma_denominator,
     reduce_matrix,
+    satisfies_conditions,
     t_admissible,
     theta_relation_shift,
 )
+from thomae.divisors import condition_lhs
 
 
 def xi_of(curve, exponents):
@@ -189,6 +191,18 @@ def test_full_denominator_invariances(small_battery):
             assert full_denominator(apply_M(xi, 1)) == h
             for beta in curve.classes:
                 assert full_denominator(apply_N_beta(xi, beta)) == h
+        # the pair table against the sorted slot walk on every level vector, valid
+        # or not, as the denominator command takes any XI levels; on the same
+        # vectors the one condition test against the per-k counts
+        for levels in itertools.product(range(curve.n), repeat=curve.point_count):
+            d = LeveledDivisor(curve, levels, DivisorKind.XI)
+            assert full_denominator(d) == full_denominator(d, slot_order=sorted(d.sets()))
+            for kind in DivisorKind:
+                d = LeveledDivisor(curve, levels, kind)
+                lhs_holds = all(
+                    condition_lhs(d, k) == curve.t_value(k) - kind.shift for k in range(1, curve.n)
+                )
+                assert satisfies_conditions(d) == lhs_holds
 
 
 def test_swap_shift_law(small_battery):
@@ -262,6 +276,22 @@ def test_matrix_rejects_diagonal():
     curve = two_two_curve(5)
     with pytest.raises(DivisorError):
         ExponentMatrix(curve, {(1, 1): 2})
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(-1, 1): 2}, "outside 0..2"),  # would read as the pair (2, 1)
+        ({(0, 7): 2}, "outside 0..2"),  # would fail only in evaluate
+        ({(0, 1): 2, (1, 0): 3}, "given twice"),  # would keep the last value
+        ({(0, 1): 0, (1, 0): 3}, "given twice"),
+    ],
+    ids=["negative-index", "index-past-last-point", "pair-twice", "pair-twice-first-zero"],
+)
+def test_matrix_rejects_malformed_pairs(entries, message):
+    curve = CurveSpec.from_alphas(3, [1, 1, 1])
+    with pytest.raises(DivisorError, match=message):
+        ExponentMatrix(curve, entries)
 
 
 def test_evaluate_zero_matrix():

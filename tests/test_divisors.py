@@ -387,6 +387,31 @@ def test_avoid_count_independent_of_point_choice(small_battery):
                 assert len(counts) == 1
 
 
+def test_avoided_count_is_one_rotation_orbit_share(full_battery):
+    """count_divisors(spec, kind, avoid=i) * n == count_divisors(spec, XI), for
+    both kinds and every point i.
+
+    Step 1: the rotation M keeps a shifted divisor valid and moves a point of
+    class alpha down by alpha levels; alpha is prime to n, so every M-orbit of
+    shifted divisors has n members and point i runs through each level exactly
+    once along it.  So exactly 1/n of the shifted divisors have point i at
+    level 0, the level ``avoid`` fixes for XI.
+
+    Step 2: moving point i from level 0 to level n-1 lowers every condition
+    count by exactly 1, because level 0 lies below every threshold
+    alpha_i * k mod n (at least 1, as alpha_i is prime to n) and level n-1
+    below none, and the DELTA targets t_k - 1 sit exactly 1 below the XI
+    targets t_k.  So the move maps the shifted divisors with point i at
+    level 0 one to one onto the degree-g ones with point i at level n-1, the
+    level ``avoid`` fixes for DELTA.
+    """
+    for curve in full_battery:
+        total = count_divisors(curve, DivisorKind.XI)
+        for kind in DivisorKind:
+            for i in range(curve.point_count):
+                assert count_divisors(curve, kind, avoid=i) * curve.n == total
+
+
 def test_avoid_count_matches_filtered_enumeration():
     curve = CurveSpec.from_alphas(5, [1, 2, 2, 1, 4])
     for kind, slot in ((DivisorKind.DELTA, 4), (DivisorKind.XI, 0)):
@@ -410,5 +435,7 @@ def test_level_bounds_enforced():
     curve = three_point_curve(5)
     with pytest.raises(DivisorError):
         LeveledDivisor(curve, (0, 1, 5), DivisorKind.XI)
+    with pytest.raises(DivisorError):
+        LeveledDivisor(curve, (-1, 1, 2), DivisorKind.XI)
     with pytest.raises(DivisorError):
         LeveledDivisor(curve, (0, 1), DivisorKind.XI)

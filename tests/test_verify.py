@@ -1,4 +1,17 @@
-from thomae import CurveSpec, DivisorKind, run_suite
+import itertools
+from collections import Counter
+
+from thomae import (
+    CurveSpec,
+    DivisorKind,
+    LeveledDivisor,
+    apply_T,
+    apply_T_hat,
+    enumerate_divisors,
+    run_suite,
+    t_admissible,
+    t_hat_admissible,
+)
 from thomae import verify
 
 
@@ -15,3 +28,51 @@ def test_run_suite_enumerates_shifted_divisors_once(monkeypatch):
     assert findings == []
     assert "enumeration" in ran and "operators" in ran
     assert calls.count(DivisorKind.XI) == 1
+
+
+def test_nonspecial_equivalence_examines_every_degree_g_divisor(monkeypatch):
+    examined = []
+    original = verify.specialty_index
+
+    def recording(div):
+        examined.append(div.levels)
+        return original(div)
+
+    monkeypatch.setattr(verify, "specialty_index", recording)
+    spec = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    _, findings = run_suite(spec, ["nonspecial-equivalence"])
+    assert findings == []
+    assert examined == [
+        levels
+        for levels in itertools.product(range(spec.n), repeat=spec.point_count)
+        if LeveledDivisor(spec, levels, DivisorKind.DELTA).degree == spec.genus()
+    ]
+
+
+def test_operators_check_applies_every_admissible_swap(monkeypatch):
+    """Each admissible (Q, R) of every shifted divisor, as found by probing all
+    p^2 pairs, gets its swap and the swap back, and nothing else does."""
+    calls = Counter()
+
+    def recording(name, operator):
+        def apply(xi, q, r):
+            calls[name, xi.levels, q, r] += 1
+            return operator(xi, q, r)
+
+        return apply
+
+    monkeypatch.setattr(verify, "apply_T", recording("T", apply_T))
+    monkeypatch.setattr(verify, "apply_T_hat", recording("That", apply_T_hat))
+    spec = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    _, findings = run_suite(spec, ["operators"])
+    assert findings == []
+    want = Counter()
+    for xi in enumerate_divisors(spec, DivisorKind.XI):
+        for q, r in itertools.permutations(range(spec.point_count), 2):
+            if t_admissible(xi, q, r):
+                want["T", xi.levels, q, r] += 1
+                want["T", apply_T(xi, q, r).levels, q, r] += 1
+            if t_hat_admissible(xi, q, r):
+                want["That", xi.levels, q, r] += 1
+                want["That", apply_T_hat(xi, q, r).levels, r, q] += 1
+    assert calls == want and sum(want.values()) > 50
