@@ -257,6 +257,8 @@ def _cmd_counts(args) -> int:
     except (KeyError, TypeError) as exc:
         raise DivisorError(f"{args.family}: family document needs 'c' and 'd'") from exc
     lo, hi = _parse_ints(args.n_range, "..", 2, f"--n-range {args.n_range!r}")
+    if hi < lo:
+        raise DivisorError(f"--n-range {args.n_range!r} runs backwards")
     n_values = list(range(lo, hi + 1))
     report_obj = count_family(family, n_values, fit=args.fit)
     report = _report_meta({"family": args.family})

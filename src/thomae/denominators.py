@@ -7,16 +7,22 @@ factor is even and the choice of order inside each pair never matters.
 
 Three denominators are built here:
 
-* ``full_denominator`` (h): for every pair of nonempty (class, level) slots
-  the unit exponent is c^(n)_d - f^(n)_d(l) with d = alpha * delta^{-1} mod n
-  and l the twisted level offset; invariant under the negation and rotation
-  operators.  The exponent of every (class, level) x (class, level) pair is
-  tabulated once per (n, classes), so h reads one entry per point pair; the
-  walk over the divisor's slots in a caller-chosen order stays as the oracle
-  that the order of assembly never matters.
-* ``pmt_denominator`` (g^beta): the base-point-invariant two-block product.
-* ``pmt_gamma_denominator`` (q^{Q,gamma}): the single-class denominator for a
-  divisor in base-point form.
+* ``full_denominator`` (h): for every pair of (class, level) slots the unit
+  exponent is c^(n)_d - f^(n)_d(l) with d = alpha * delta^{-1} mod n and l
+  the twisted level offset; invariant under the negation and rotation
+  operators.  It is tabulated once per (n, classes), so h reads one entry
+  per point pair; the walk over the divisor's slots in a caller-chosen
+  order stays as the oracle that the order of assembly never matters.
+* ``pmt_denominator`` (g^beta) and ``pmt_gamma_denominator`` (q^{Q,gamma})
+  are two-block products with one rule per point pair.  Let a(P) be the
+  level a_{beta,alpha}(l) = alpha * beta^{-1} - 1 - l mod n that the
+  negation N_beta sends P to.  Every upper lead is paired with every other
+  point P at a(P), and every lower lead at n-1-a(P).  For g the upper leads
+  are the points at level alpha * beta^{-1} of every class alpha and the
+  lower leads those one level below; q keeps the leads of class gamma only
+  and adjoins the base point Q to the lower leads.  An upper lead has
+  a = n-1 and a lower lead a = 0, so a pair of two leads of one block,
+  visited once, gets the top exponent n-1 whichever of its points is read.
 
 None of g, q, h is itself unchanged by an admissible base-pointed swap; all
 three move by the same matrix, returned by ``theta_relation_shift``, so the
@@ -25,6 +31,7 @@ differences h - g and g - q are exact swap invariants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 from .curve import CurveSpec, e_factor, k_inverse
 from .divisors import DivisorError, DivisorKind, LeveledDivisor
 from .ffunctions import c_constant, f_chain
-from .operators import a_value
+from .operators import _require_swap_pair
 
 
 class EvalMode(Enum):
@@ -137,36 +144,6 @@ def degree(matrix: ExponentMatrix) -> int:
     return matrix.unit_factor * matrix.degree_units()
 
 
-class _Builder:
-    def __init__(self, curve: CurveSpec):
-        self.curve = curve
-        self.acc: dict[tuple[int, int], int] = {}
-
-    def add_block(self, left: Iterable[int], right: Iterable[int], coef: int) -> None:
-        """Pair every point of `left` with every point of `right`."""
-        if coef == 0:
-            return
-        for x in left:
-            for y in right:
-                if x != y:
-                    key = (min(x, y), max(x, y))
-                    self.acc[key] = self.acc.get(key, 0) + coef
-
-    def add_self_block(self, pts: Iterable[int], coef: int) -> None:
-        """Pair the points of one set among themselves."""
-        if coef == 0:
-            return
-        pts = list(pts)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                x, y = pts[a], pts[b]
-                key = (min(x, y), max(x, y))
-                self.acc[key] = self.acc.get(key, 0) + coef
-
-    def build(self) -> ExponentMatrix:
-        return ExponentMatrix._normalised(self.curve, self.acc)
-
-
 def _require_xi(xi: LeveledDivisor) -> None:
     if xi.kind is not DivisorKind.XI:
         raise DivisorError("denominators are built from divisors of kind XI")
@@ -239,105 +216,84 @@ def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> E
 
 
 def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
-    """h assembled block by block over the nonempty slots in the order given."""
+    """h over the nonempty slots in the order given: each point pair takes the
+    exponent of its slot pair, walked from the earlier slot to the later."""
     n = xi.curve.n
     sets = xi.sets()
     if sorted(slots) != sorted(sets):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
-    out = _Builder(xi.curve)
+    entries = {}
     for i, first in enumerate(slots):
-        for j in range(i, len(slots)):
-            coef = _slot_pair_exponent(n, first, slots[j])
-            if i == j:
-                out.add_self_block(sets[first], coef)
-            else:
-                out.add_block(sets[first], sets[slots[j]], coef)
-    return out.build()
+        for second in slots[i:]:
+            coef = _slot_pair_exponent(n, first, second)
+            pairs = (itertools.combinations(sets[first], 2) if first == second
+                     else itertools.product(sets[first], sets[second]))
+            for x, y in pairs:
+                entries[(min(x, y), max(x, y))] = coef
+    return ExponentMatrix._normalised(xi.curve, entries)
+
+
+def _reflections(xi: LeveledDivisor, beta: int) -> list[int]:
+    """a_{beta,alpha}(l) = alpha * beta^{-1} - 1 - l mod n for every point."""
+    kb = k_inverse(beta, xi.curve.n)
+    return [(alpha * kb - 1 - l) % xi.curve.n for alpha, l in zip(xi.curve.alphas, xi.levels)]
+
+
+def _two_blocks(curve: CurveSpec, a: list[int], upper: list, lower: list) -> ExponentMatrix:
+    """Upper leads paired with every other point P at a(P), lower leads at
+    n-1-a(P), each point pair visited once."""
+    top = curve.n - 1
+    entries = {}
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            v = a[j] if upper[i] else a[i] if upper[j] else 0
+            if lower[i]:
+                v += top - a[j]
+            elif lower[j]:
+                v += top - a[i]
+            entries[(i, j)] = v
+    return ExponentMatrix._normalised(curve, entries)
 
 
 def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
     """The base-point-invariant denominator g^beta of a valid shifted divisor.
 
-    Two blocks: the level delta*beta^{-1} slot of every class paired against
-    everything with unit exponent a_{beta,alpha}(l), and the slot one level
-    below paired against everything with n-1-a_{beta,alpha}(l).  Pairs whose
-    both sides are distinguished slots would occur twice, so the class order
-    breaks the tie; same-slot pairs follow the common rule.
+    The upper leads are the points at level alpha * beta^{-1} of every class
+    alpha, the lower leads those one level below.  The reflection
+    a_{beta,alpha} sends those two levels to n-1 and to 0, so a alone marks
+    the leads.
     """
     _require_xi(xi)
-    n = xi.curve.n
-    kb = k_inverse(beta, n)
-    sets = xi.sets()
-    classes = xi.curve.classes
-    out = _Builder(xi.curve)
-    for block in (0, 1):  # block 0: levels delta*kb; block 1: one below
-        for delta in classes:
-            lead_level = (delta * kb - block) % n
-            lead = sets.get((delta, lead_level))
-            if not lead:
-                continue
-            for alpha in classes:
-                special = (alpha * kb - block) % n
-                for l in range(n):
-                    pts = sets.get((alpha, l))
-                    if not pts:
-                        continue
-                    if l == special and delta > alpha:
-                        continue  # the pair is already covered from the other side
-                    aval = a_value(beta, alpha, l, n)
-                    coef = aval if block == 0 else n - 1 - aval
-                    if (alpha, l) == (delta, lead_level):
-                        out.add_self_block(lead, coef)
-                    else:
-                        out.add_block(lead, pts, coef)
-    return out.build()
+    top = xi.curve.n - 1
+    a = _reflections(xi, beta)
+    return _two_blocks(xi.curve, a, [v == top for v in a], [v == 0 for v in a])
 
 
 def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> ExponentMatrix:
     """The single-class denominator q^{Q,gamma} of a divisor in base-point form.
 
-    Requires the base point Q at level 0.  Built from the degree-g divisor
-    obtained by stripping Q^{n-1}: the class-gamma slot at level
-    gamma*beta^{-1} is paired against everything with exponents
-    a_{beta,alpha}(l), the slot one level below (with Q adjoined) with
-    exponents n-1-a_{beta,alpha}(l), and each of the two leading sets is
-    paired with itself at the top exponent n-1.  Q is adjoined to the lower
-    slot only.  At n = 2 stripping lands Q at level n-1 = gamma*beta^{-1},
-    the upper slot's level; Q is kept out of the upper set there as well.
+    Requires the base point Q at level 0.  The same two blocks as g^beta,
+    with beta the class of Q, over the degree-g divisor obtained by
+    stripping Q^{n-1}: only the leads of class gamma count, and Q is
+    adjoined to the lower leads.  Q at level 0 has a = 0, the lower lead
+    value, so the pair rule needs no case for it.  Stripping moves Q to
+    level n-1, which at n = 2 is the upper lead level gamma*beta^{-1}; Q is
+    kept out of the upper leads there as well.
     """
     _require_xi(xi)
     curve = xi.curve
-    n = curve.n
     if not 0 <= q_id < curve.point_count:
         raise DivisorError(f"no point with index {q_id}")
     if xi.levels[q_id] != 0:
         raise DivisorError("the base point must sit at level 0")
     if gamma not in curve.classes:
         raise DivisorError(f"no branch points of class {gamma}")
-    beta = curve.alphas[q_id]
-    kb = k_inverse(beta, n)
-
-    # sets of the stripped degree-g divisor: Q moves from level 0 to level n-1
-    csets: dict[tuple[int, int], list[int]] = {}
-    for i, (a, l) in enumerate(zip(curve.alphas, xi.levels)):
-        csets.setdefault((a, n - 1 if i == q_id else l), []).append(i)
-
-    def without_q(a: int, l: int) -> list[int]:
-        return [p for p in csets.get((a, l), []) if p != q_id]
-
-    lead = without_q(gamma, (gamma * kb) % n)
-    lead_plus_q = without_q(gamma, (gamma * kb - 1) % n) + [q_id]
-    out = _Builder(curve)
-    for alpha in curve.classes:
-        for l in range(n):
-            aval = a_value(beta, alpha, l, n)
-            if (alpha, l) != (gamma, (gamma * kb) % n):
-                out.add_block(lead, without_q(alpha, l), aval)
-            if (alpha, l) != (gamma, (gamma * kb - 1) % n):
-                out.add_block(lead_plus_q, without_q(alpha, l), n - 1 - aval)
-    out.add_self_block(lead, n - 1)
-    out.add_self_block(lead_plus_q, n - 1)
-    return out.build()
+    top = curve.n - 1
+    a = _reflections(xi, curve.alphas[q_id])
+    upper = [alpha == gamma and v == top for alpha, v in zip(curve.alphas, a)]
+    lower = [alpha == gamma and v == 0 for alpha, v in zip(curve.alphas, a)]
+    lower[q_id] = True
+    return _two_blocks(curve, a, upper, lower)
 
 
 def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMatrix:
@@ -348,17 +304,14 @@ def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMa
     difference is this matrix, and h, g and q each change by exactly it.
     """
     _require_xi(xi)
-    curve = xi.curve
-    n = curve.n
-    beta = curve.alphas[q_id]
-    out = _Builder(curve)
-    for p, (a, l) in enumerate(zip(curve.alphas, xi.levels)):
-        if p in (q_id, r_id):
-            continue
-        av = a_value(beta, a, l, n)
-        out.add_block([q_id], [p], 2 * av - (n - 1))
-        out.add_block([r_id], [p], (n - 1) - 2 * av)
-    return out.build()
+    _require_swap_pair(xi, q_id, r_id)
+    top = xi.curve.n - 1
+    entries = {}
+    for p, v in enumerate(_reflections(xi, xi.curve.alphas[q_id])):
+        if p not in (q_id, r_id):
+            entries[(min(q_id, p), max(q_id, p))] = 2 * v - top
+            entries[(min(r_id, p), max(r_id, p))] = top - 2 * v
+    return ExponentMatrix._normalised(xi.curve, entries)
 
 
 def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:

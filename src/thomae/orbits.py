@@ -283,6 +283,16 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
     (rotation orbits are always free); the per-point counts of degree-g
     divisors avoiding each single point and the number of shifted divisors
     with no base-point form are reported alongside.
+
+    Every per-point count is the orbit count, so none is counted.  Step 1:
+    the rotation M moves a point of class alpha down by alpha levels, and
+    alpha is prime to n, so along each M-orbit of n shifted divisors point
+    i runs through every level once; 1/n of them have it at level 0.
+    Step 2: moving point i from level 0 to level n-1 lowers every condition
+    count by exactly 1 (level 0 lies below every threshold alpha_i * k mod n
+    >= 1, level n-1 below none), and the degree-g targets t_k - 1 sit 1
+    below the shifted ones, so the move maps those divisors one to one onto
+    the degree-g divisors with point i at level n-1, which avoid point i.
     """
     rows = []
     for n in n_values:
@@ -294,13 +304,6 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
         xi_total = count_divisors(spec, DivisorKind.XI)
         if xi_total % n != 0:
             raise DivisorError(f"rotation orbits are not free at n = {n}")
-        # the conditions see only alpha, so the points of a class are
-        # interchangeable: count once per class, at its first point
-        by_class = {
-            a: count_divisors(spec, DivisorKind.DELTA, avoid=spec.alphas.index(a))
-            for a in spec.classes
-        }
-        avoid = tuple(by_class[a] for a in spec.alphas)
         rows.append(
             FamilyCount(
                 n=n,
@@ -309,7 +312,7 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
                 xi_divisors=xi_total,
                 m_orbits=xi_total // n,
                 base_point_free_xi=count_base_point_free(spec),
-                per_point_avoid=avoid,
+                per_point_avoid=(xi_total // n,) * spec.point_count,
             )
         )
     report = CountReport(family=family, counts=tuple(rows))

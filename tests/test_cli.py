@@ -278,6 +278,7 @@ def test_csv_format_counts(capsys, tmp_path):
         ["counts", "--family", "@bool_family", "--n-range", "2..5"],
         ["enumerate", "--curve", "@bool_alpha_curve", "--count-only"],
         ["apply", "--divisor", "@bool_level_divisor", "--op", "N"],
+        ["counts", "--n-range", "5..2"],
     ],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):

@@ -152,11 +152,50 @@ def test_pmt_denominator_isolated_divisor(n):
     assert entries(g) == {(P, R): n - 3, (P, S): 1, (P, Q): 1}
 
 
-def test_pmt_denominator_independent_of_base_choice():
-    # same matrix whichever point of the class anchors it: it only sees beta
-    curve = CurveSpec.from_alphas(5, [1, 1, 4, 4])
-    for xi in enumerate_divisors(curve, DivisorKind.XI):
-        assert pmt_denominator(xi, 1) == pmt_denominator(xi, 1)
+def slot_blocks(d, beta, lead_classes, q=None):
+    """g^beta, or q^{Q,gamma} when the base point q is given, straight from
+    the slot-block definition.  In each lead class the upper lead slot sits at
+    level alpha * beta^{-1} and the lower one a level below; their points are
+    paired with every point of every slot (alpha, l) at a(l) = alpha *
+    beta^{-1} - 1 - l mod n and at n-1-a(l).  A pair of two lead points of one
+    block is counted once, at n-1.  For q, Q is stripped from its slot and
+    adjoined to the lower leads."""
+    n = d.curve.n
+    kb = pow(beta, -1, n)
+    points = {i: s for i, s in enumerate(zip(d.curve.alphas, d.levels)) if i != q}
+    out = {}
+    for drop in (0, 1):
+        leads = {
+            i for i, (alpha, l) in points.items()
+            if alpha in lead_classes and l == (alpha * kb - drop) % n
+        }
+        if drop and q is not None:
+            leads.add(q)
+        for x in leads:
+            for y in set(points) | leads:
+                key = (min(x, y), max(x, y))
+                if y not in leads:
+                    alpha, l = points[y]
+                    av = (alpha * kb - 1 - l) % n
+                    out[key] = out.get(key, 0) + (n - 1 - av if drop else av)
+                elif x < y:
+                    out[key] = out.get(key, 0) + n - 1
+    return {k: v for k, v in out.items() if v}
+
+
+def test_two_block_denominators_match_slot_blocks(small_battery):
+    # every level vector, valid or not, as the denominator command takes any XI levels
+    for curve in small_battery:
+        for levels in itertools.product(range(curve.n), repeat=curve.point_count):
+            d = LeveledDivisor(curve, levels, DivisorKind.XI)
+            for beta in curve.classes:
+                assert entries(pmt_denominator(d, beta)) == slot_blocks(d, beta, curve.classes)
+            for q in range(curve.point_count):
+                if levels[q] == 0:
+                    beta = curve.alphas[q]
+                    for gamma in curve.classes:
+                        want = slot_blocks(d, beta, {gamma}, q)
+                        assert entries(pmt_gamma_denominator(d, q, gamma)) == want
 
 
 def test_empty_lead_sets_leave_only_base_blocks():
@@ -270,6 +309,21 @@ def test_matrix_quotient_laws():
     other = CurveSpec.from_alphas(3, [1, 1, 1])
     with pytest.raises(DivisorError, match="different curves"):
         matrix_quotient(h, ExponentMatrix(other))
+
+
+@pytest.mark.parametrize(
+    "q, r, message",
+    [
+        (1, 99, "no point with index 99"),
+        (-1, 0, "no point with index -1"),
+        (99, 0, "no point with index 99"),
+        (1, 1, "two distinct points"),
+    ],
+)
+def test_shift_rejects_bad_point_indices(q, r, message):
+    xi = next(enumerate_divisors(two_two_curve(5), DivisorKind.XI))
+    with pytest.raises(DivisorError, match=message):
+        theta_relation_shift(xi, q, r)
 
 
 def test_matrix_rejects_diagonal():
