@@ -232,13 +232,11 @@ def _cmd_orbits(args) -> int:
     comps = graph.components()
     report = _report_meta({"curve": args.curve})
     report.update(
-        {
-            "vertices": len(graph.vertices),
-            "edges": len(graph.edges),
-            "components": len(comps),
-            "component_sizes": sorted(len(c) for c in comps),
-            "m_orbits": len(graph.m_orbits()),
-        }
+        vertices=len(graph.vertices),
+        edges=sum(map(len, graph.adjacency)),
+        components=len(comps),
+        component_sizes=sorted(len(c) for c in comps),
+        m_orbits=len(graph.m_orbits()),
     )
     if args.witness:
         src = _load_divisor(args.witness[0], curve)

@@ -39,13 +39,17 @@ def _require_xi(xi: LeveledDivisor) -> None:
         raise DivisorError("operators act on divisors of kind XI")
 
 
+def _require_points(xi: LeveledDivisor, *points: int) -> None:
+    for p in points:
+        if not 0 <= p < len(xi.levels):
+            raise DivisorError(f"no point with index {p}")
+
+
 def _require_swap_pair(xi: LeveledDivisor, q_id: int, r_id: int) -> None:
     _require_xi(xi)
     if q_id == r_id:
         raise DivisorError("the swap needs two distinct points")
-    for p in (q_id, r_id):
-        if not 0 <= p < len(xi.levels):
-            raise DivisorError(f"no point with index {p}")
+    _require_points(xi, q_id, r_id)
 
 
 def apply_N_beta(xi: LeveledDivisor, beta: int) -> LeveledDivisor:
@@ -74,12 +78,8 @@ def apply_N(xi: LeveledDivisor) -> LeveledDivisor:
 
 
 def t_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
-    if q_id == r_id or xi.kind is not DivisorKind.XI:
-        return False
-    n = xi.curve.n
-    beta = xi.curve.alphas[q_id]
-    gamma = xi.curve.alphas[r_id]
-    return xi.levels[q_id] == 0 and xi.levels[r_id] == (gamma * k_inverse(beta, n)) % n
+    """Q at level 0 and R where the simplified swap from level 0 needs it."""
+    return t_hat_admissible(xi, q_id, r_id) and xi.levels[q_id] == 0
 
 
 def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
@@ -111,6 +111,7 @@ def _t_hat_step(xi: LeveledDivisor, q_id: int) -> int:
 
 
 def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
+    _require_points(xi, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
     return xi.levels[r_id] == (xi.curve.alphas[r_id] * _t_hat_step(xi, q_id)) % xi.curve.n
@@ -118,6 +119,7 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
     """Every R with t_hat_admissible(xi, q_id, R), ascending."""
+    _require_points(xi, q_id)
     if xi.kind is not DivisorKind.XI:
         return ()
     n = xi.curve.n
@@ -150,6 +152,7 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
 def base_point_representative(xi: LeveledDivisor, q_id: int) -> LeveledDivisor:
     """The unique divisor in the M-orbit with the given point at level 0."""
     _require_xi(xi)
+    _require_points(xi, q_id)
     n = xi.curve.n
     alpha = xi.curve.alphas[q_id]
     # solve level - alpha*k = 0 mod n for k

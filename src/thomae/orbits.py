@@ -2,10 +2,10 @@
 
 Vertices are the valid shifted divisors (kind XI) of one curve; edges are
 the rotation M, the reflection N (together these generate the dihedral
-group) and every admissible simplified swap.  Components of this graph are
-the orbits of the combined action; on every family tested the graph is
-connected, and counterexample hunting is supported by operator-word
-witnesses on all edges.
+group) and every admissible simplified swap, stored as one adjacency list
+(`OrbitGraph.edges` is a view built on demand).  Components of this graph
+are the orbits of the combined action; on every family tested the graph is
+connected, and operator-word witnesses support counterexample hunting.
 """
 
 from __future__ import annotations
@@ -35,19 +35,49 @@ class Edge:
     label: str
 
 
+def _search(start, neighbours, goal=None) -> dict:
+    """Breadth-first search from start until goal is reached: each node
+    reached maps to the (parent, label) of the edge that first reached it."""
+    parent = {start: (None, "")}
+    queue = deque([start])
+    while queue and goal not in parent:
+        u = queue.popleft()
+        for v, label in neighbours(u):
+            if v not in parent:
+                parent[v] = (u, label)
+                queue.append(v)
+    return parent
+
+
+def _partition(count: int, neighbours) -> list[list[int]]:
+    """The sorted node sets reached from nodes 0..count-1, each listed once."""
+    parts, seen = [], set()
+    for start in range(count):
+        if start not in seen:
+            parts.append(sorted(_search(start, neighbours)))
+            seen.update(parts[-1])
+    return parts
+
+
 @dataclass
 class OrbitGraph:
+    """The operator graph as one adjacency list.
+
+    adjacency[i] holds vertex i's out-edges as (target, label) pairs in a
+    fixed order: M, M^-1, N, then every simplified swap "That:q,r" in
+    ascending (q, r) order.  m_orbits relies on the M edge coming first.
+    """
+
     curve: CurveSpec
     vertices: tuple[LeveledDivisor, ...]
-    edges: tuple[Edge, ...]
-    _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
-    _adjacency: list[list[tuple[int, str]]] = field(repr=False, default_factory=list)
+    adjacency: list[list[tuple[int, str]]]
+    _index: dict[tuple[int, ...], int] = field(repr=False)
 
-    def __post_init__(self):
-        self._index = {v.levels: i for i, v in enumerate(self.vertices)}
-        self._adjacency = [[] for _ in self.vertices]
-        for e in self.edges:
-            self._adjacency[e.source].append((e.target, e.label))
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge in adjacency order, built afresh on each access."""
+        pairs = enumerate(self.adjacency)
+        return tuple(Edge(i, t, label) for i, out in pairs for t, label in out)
 
     def vertex_id(self, divisor: LeveledDivisor) -> int:
         try:
@@ -56,65 +86,23 @@ class OrbitGraph:
             raise DivisorError(f"divisor {divisor.levels} is not a vertex") from None
 
     def components(self) -> list[list[int]]:
-        seen = [False] * len(self.vertices)
-        comps = []
-        for start in range(len(self.vertices)):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v, _ in self._adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-            comps.append(sorted(comp))
-        return comps
+        return _partition(len(self.vertices), self.adjacency.__getitem__)
 
     def witness(self, source: LeveledDivisor, target: LeveledDivisor) -> Optional[list[str]]:
         """A word in the edge labels leading from source to target, if any."""
         s, t = self.vertex_id(source), self.vertex_id(target)
-        if s == t:
-            return []
-        parent: dict[int, tuple[int, str]] = {s: (-1, "")}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, label in self._adjacency[u]:
-                if v not in parent:
-                    parent[v] = (u, label)
-                    if v == t:
-                        word = []
-                        while v != s:
-                            u2, lab = parent[v]
-                            word.append(lab)
-                            v = u2
-                        return list(reversed(word))
-                    queue.append(v)
-        return None
+        parent = _search(s, self.adjacency.__getitem__, t)
+        if t not in parent:
+            return None
+        word = []
+        while t != s:
+            t, label = parent[t]
+            word.append(label)
+        return word[::-1]
 
     def m_orbits(self) -> list[list[int]]:
         """Orbits of the rotation alone (every one has exactly n members)."""
-        n = self.curve.n
-        seen = [False] * len(self.vertices)
-        orbits = []
-        for start, div in enumerate(self.vertices):
-            if seen[start]:
-                continue
-            orbit = []
-            cur = div
-            for _ in range(n):
-                vid = self.vertex_id(cur)
-                if seen[vid]:
-                    break
-                seen[vid] = True
-                orbit.append(vid)
-                cur = apply_M(cur, 1)
-            orbits.append(sorted(orbit))
-        return orbits
+        return _partition(len(self.vertices), lambda u: self.adjacency[u][:1])
 
 
 def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGraph:
@@ -127,20 +115,17 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     spec.require_valid()
     verts = sorted(enumerate_divisors(spec, DivisorKind.XI), key=lambda d: d.levels)
     if max_vertices is not None and len(verts) > max_vertices:
-        raise DivisorError(
-            f"{len(verts)} vertices exceed the requested cap {max_vertices}"
-        )
+        raise DivisorError(f"{len(verts)} vertices exceed the requested cap {max_vertices}")
     index = {v.levels: i for i, v in enumerate(verts)}
-    edges = []
     npts = spec.point_count
-    for i, v in enumerate(verts):
-        edges.append(Edge(i, index[apply_M(v, 1).levels], "M"))
-        edges.append(Edge(i, index[apply_M(v, -1).levels], "M^-1"))
-        edges.append(Edge(i, index[apply_N(v).levels], "N"))
+    swap_labels = [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
+    adjacency = []
+    for v in verts:
+        images = [(apply_M(v, 1), "M"), (apply_M(v, -1), "M^-1"), (apply_N(v), "N")]
         for q in range(npts):
-            for r in t_hat_partners(v, q):
-                edges.append(Edge(i, index[apply_T_hat(v, q, r).levels], f"That:{q},{r}"))
-    return OrbitGraph(spec, tuple(verts), tuple(edges))
+            images += [(apply_T_hat(v, q, r), swap_labels[q][r]) for r in t_hat_partners(v, q)]
+        adjacency.append([(index[w.levels], label) for w, label in images])
+    return OrbitGraph(spec, tuple(verts), adjacency, index)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +158,16 @@ def difbeta_reachability(
 ) -> bool:
     """Reach upsilon from xi using only swaps inside the classes beta, n-beta.
 
-    Precondition: the divisors agree on every point whose class is neither
-    beta nor n-beta, and xi satisfies one of the two occupation hypotheses;
-    violations raise ReachabilityPreconditionError rather than returning
-    False, so an unreachable-but-eligible pair is a reportable finding.
+    Precondition: both divisors are of kind XI and agree on every point of
+    class neither beta nor n-beta, and xi satisfies one of the two occupation
+    hypotheses; violations raise ReachabilityPreconditionError rather than
+    returning False, so an unreachable-but-eligible pair is a reportable finding.
     """
     curve = xi.curve
     if upsilon.curve != curve:
         raise DivisorError("divisors live on different curves")
+    if xi.kind is not DivisorKind.XI or upsilon.kind is not DivisorKind.XI:
+        raise ReachabilityPreconditionError("both divisors must be of kind XI")
     n = curve.n
     if gcd(beta, n) != 1:
         raise ReachabilityPreconditionError(f"class {beta} is not prime to {n}")
@@ -196,21 +183,15 @@ def difbeta_reachability(
             f"occupation hypothesis fails for class {beta}"
         )
     swap_points = [i for i, a in enumerate(curve.alphas) if a in pair_classes]
-    target = upsilon.levels
-    seen = {xi.levels}
-    queue = deque([xi])
-    while queue:
-        cur = queue.popleft()
-        if cur.levels == target:
-            return True
+
+    def swaps(levels):
+        cur = xi.with_levels(levels)
         for q in swap_points:
             for r in t_hat_partners(cur, q):
                 if curve.alphas[r] in pair_classes:
-                    nxt = apply_T_hat(cur, q, r)
-                    if nxt.levels not in seen:
-                        seen.add(nxt.levels)
-                        queue.append(nxt)
-    return False
+                    yield apply_T_hat(cur, q, r).levels, None
+
+    return upsilon.levels in _search(xi.levels, swaps, upsilon.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +297,15 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
             )
         )
     report = CountReport(family=family, counts=tuple(rows))
-    if fit:
-        degree_hint = len(family.d) - 1
-        fitted = {}
-        for name, getter in (
-            ("total_divisors", lambda c: c.total_divisors),
-            ("m_orbits", lambda c: c.m_orbits),
-        ):
-            data = [(c.n, getter(c)) for c in report.valid_counts()]
-            if len(data) >= degree_hint + 2:
-                fitted[name] = fit_count_polynomial(data, degree_hint)
-        report = CountReport(family=family, counts=tuple(rows), fit=fitted)
-    return report
+    if not fit:
+        return report
+    degree_hint = len(family.d) - 1
+    fitted = {}
+    for name in ("total_divisors", "m_orbits"):
+        data = [(c.n, getattr(c, name)) for c in report.valid_counts()]
+        if len(data) >= degree_hint + 2:
+            fitted[name] = fit_count_polynomial(data, degree_hint)
+    return CountReport(family=family, counts=report.counts, fit=fitted)
 
 
 def fit_count_polynomial(

@@ -150,6 +150,8 @@ def test_denominator_pmt(capsys, two_two_curve, tmp_path):
 
 
 def test_orbits_report(capsys, tmp_path):
+    from thomae import CurveSpec, build_graph
+
     curve = write(
         tmp_path / "c.json",
         {"n": 5, "points": [{"alpha": 1}, {"alpha": 2}, {"alpha": 2}]},
@@ -157,6 +159,8 @@ def test_orbits_report(capsys, tmp_path):
     code, out, _ = run(capsys, "orbits", "--curve", curve)
     doc = json.loads(out)
     assert doc["vertices"] == 10
+    graph = build_graph(CurveSpec.from_alphas(5, [1, 2, 2]))
+    assert doc["edges"] == len(graph.edges) == 50
     assert doc["components"] == 1
     assert doc["m_orbits"] == 2
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from thomae import (
     AdmissibilityError,
     CurveSpec,
+    DivisorError,
     DivisorKind,
     GroupElement,
     a_value,
@@ -176,6 +177,29 @@ def test_swap_rejects_self_pair():
     xi = xis(curve)[0]
     with pytest.raises(Exception, match="distinct"):
         apply_T(xi, 0, 0)
+    assert not t_admissible(xi, 0, 0)
+    assert not t_hat_admissible(xi, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "operator,args",
+    [
+        (t_hat_partners, (-1,)),
+        (t_hat_partners, (4,)),
+        (t_hat_admissible, (0, 9)),
+        (t_admissible, (-1, 0)),
+        (base_point_representative, (-1,)),
+        (base_point_representative, (7,)),
+        (apply_T_hat, (0, 9)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else "_".join(map(str, v)),
+)
+def test_operators_reject_bad_point_indices(operator, args):
+    curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    xi = next(x for x in xis(curve) if x.levels == (1, 3, 4, 0))
+    bad = next(p for p in args if not 0 <= p < curve.point_count)
+    with pytest.raises(DivisorError, match=f"^no point with index {bad}$"):
+        operator(xi, *args)
 
 
 def test_swap_admissibility_error_payload():

@@ -7,6 +7,7 @@ from thomae import (
     CurveSpec,
     DivisorError,
     DivisorKind,
+    LeveledDivisor,
     ReachabilityPreconditionError,
     apply_M,
     apply_N,
@@ -111,6 +112,10 @@ def test_m_orbits_are_free(small_battery):
         graph = build_graph(curve)
         for orbit in graph.m_orbits():
             assert len(orbit) == curve.n
+            start = graph.vertices[orbit[0]]
+            assert orbit == sorted(
+                graph.vertex_id(apply_M(start, k)) for k in range(curve.n)
+            )
         assert len(graph.m_orbits()) * curve.n == len(graph.vertices)
 
 
@@ -217,6 +222,21 @@ def test_difbeta_rejects_failed_hypothesis():
     assert all(not difbeta_hypothesis(x, 1) for x in divisors)
     with pytest.raises(ReachabilityPreconditionError, match="hypothesis"):
         difbeta_reachability(divisors[0], divisors[0], 1)
+
+
+def test_difbeta_rejects_divisors_not_of_kind_xi():
+    # every pair of DELTA divisors here passes the agreement check and the
+    # occupation hypothesis, and a DELTA-kinded copy of a shifted divisor
+    # has levels the XI search can reach
+    curve = CurveSpec.from_alphas(5, [1, 1, 4, 4])
+    deltas = list(enumerate_divisors(curve, DivisorKind.DELTA))
+    xi = next(iter(enumerate_divisors(curve, DivisorKind.XI)))
+    assert difbeta_hypothesis(deltas[0], 1)
+    with pytest.raises(ReachabilityPreconditionError, match="kind XI"):
+        difbeta_reachability(deltas[0], deltas[1], 1)
+    as_delta = LeveledDivisor(curve, xi.levels, DivisorKind.DELTA)
+    with pytest.raises(ReachabilityPreconditionError, match="kind XI"):
+        difbeta_reachability(xi, as_delta, 1)
 
 
 def test_one_point_transfers_reach_targets():
