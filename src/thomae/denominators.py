@@ -26,7 +26,9 @@ Three denominators are built here:
 
 None of g, q, h is itself unchanged by an admissible base-pointed swap; all
 three move by the same matrix, returned by ``theta_relation_shift``, so the
-differences h - g and g - q are exact swap invariants.
+differences h - g and g - q are exact swap invariants.  Each of h, g, q and
+the shift is a private kernel from a level tuple to a dense tuple in (i < j)
+pair order; the public functions wrap it, and ``verify`` compares tuples.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Mapping, Optional
 from .curve import CurveSpec, e_factor, k_inverse
 from .divisors import DivisorError, DivisorKind, LeveledDivisor
 from .ffunctions import c_constant, f_chain
-from .operators import _require_swap_pair
+from .operators import _Lazy, _negate, _require_swap_pair, _tables
 
 
 class EvalMode(Enum):
@@ -157,37 +159,23 @@ def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int])
     return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
 
 
-class _PairRows(dict):
-    """Slot number -> the unit exponent of that slot against every slot, by
-    slot number.  A row is computed the first time a divisor occupies its
-    slot: the whole table has (classes * n)^2 entries, and one h on a large
-    curve reads only the rows of its own points."""
-
-    def __init__(self, n: int, slots: list[tuple[int, int]]):
-        super().__init__()
-        self.n = n
-        self.slots = slots
-
-    def __missing__(self, s: int) -> tuple[int, ...]:
-        mine = self.slots[s]
-        row = self[s] = tuple(
-            _slot_pair_exponent(self.n, min(mine, other), max(mine, other)) for other in self.slots
-        )
-        return row
-
-
 @lru_cache(maxsize=None)
-def _pair_table(n: int, classes: tuple[int, ...]) -> tuple[dict[int, int], _PairRows]:
+def _pair_table(n: int, classes: tuple[int, ...]) -> tuple[dict[int, int], _Lazy]:
     """Slot numbers and the unit exponent of every pair of (class, level) slots.
 
     Slot (alpha, l) is numbered offset[alpha] + l, with the classes in
     ascending order, so slot numbers order the same way as the slots do.
     rows[s][t] walks from the lower of s and t to the higher, exactly as the
-    sorted slot walk does, so the table is symmetric.
+    sorted slot walk does, so the table is symmetric.  A row is computed the
+    first time a divisor occupies its slot: one h on a large curve reads only
+    the rows of its own points.
     """
     ordered = sorted(classes)
     offset = {a: i * n for i, a in enumerate(ordered)}
-    return offset, _PairRows(n, [(a, l) for a in ordered for l in range(n)])
+    slots = [(a, l) for a in ordered for l in range(n)]
+    return offset, _Lazy(lambda s: tuple(
+        _slot_pair_exponent(n, min(slots[s], other), max(slots[s], other)) for other in slots
+    ))
 
 
 def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> ExponentMatrix:
@@ -201,18 +189,28 @@ def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> E
     order.
     """
     _require_xi(xi)
-    curve = xi.curve
-    n = curve.n
     if slot_order is not None:
         return _slot_walk(xi, list(slot_order))
-    offset, rows = _pair_table(n, curve.classes)
-    slot = [offset[a] + l for a, l in zip(curve.alphas, xi.levels)]
-    entries = {}
+    return _matrix(xi.curve, _h(xi.curve, xi.levels))
+
+
+@lru_cache(maxsize=None)
+def _pairs(p: int) -> tuple[tuple[int, int], ...]:
+    """The point pairs (i, j), i < j, in the order of the kernels' dense tuples."""
+    return tuple(itertools.combinations(range(p), 2))
+
+
+def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
+    return ExponentMatrix._normalised(curve, dict(zip(_pairs(curve.point_count), values)))
+
+
+def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
+    offset, rows = _pair_table(curve.n, curve.classes)
+    slot = [offset[a] + l for a, l in zip(curve.alphas, levels)]
+    out: list[int] = []
     for i, s in enumerate(slot):
-        row = rows[s]
-        for j in range(i + 1, len(slot)):
-            entries[(i, j)] = row[slot[j]]
-    return ExponentMatrix._normalised(curve, entries)
+        out += map(rows[s].__getitem__, slot[i + 1 :])
+    return tuple(out)
 
 
 def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
@@ -233,17 +231,10 @@ def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
     return ExponentMatrix._normalised(xi.curve, entries)
 
 
-def _reflections(xi: LeveledDivisor, beta: int) -> list[int]:
-    """a_{beta,alpha}(l) = alpha * beta^{-1} - 1 - l mod n for every point."""
-    kb = k_inverse(beta, xi.curve.n)
-    return [(alpha * kb - 1 - l) % xi.curve.n for alpha, l in zip(xi.curve.alphas, xi.levels)]
-
-
-def _two_blocks(curve: CurveSpec, a: list[int], upper: list, lower: list) -> ExponentMatrix:
+def _two_blocks(top: int, a: tuple[int, ...], upper: list, lower: list) -> tuple[int, ...]:
     """Upper leads paired with every other point P at a(P), lower leads at
     n-1-a(P), each point pair visited once."""
-    top = curve.n - 1
-    entries = {}
+    out = []
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             v = a[j] if upper[i] else a[i] if upper[j] else 0
@@ -251,8 +242,33 @@ def _two_blocks(curve: CurveSpec, a: list[int], upper: list, lower: list) -> Exp
                 v += top - a[j]
             elif lower[j]:
                 v += top - a[i]
-            entries[(i, j)] = v
-    return ExponentMatrix._normalised(curve, entries)
+            out.append(v)
+    return tuple(out)
+
+
+def _g(curve: CurveSpec, levels: tuple[int, ...], beta: int) -> tuple[int, ...]:
+    top = curve.n - 1
+    a = _negate(_tables(curve.n, curve.alphas), levels, beta)
+    return _two_blocks(top, a, [v == top for v in a], [v == 0 for v in a])
+
+
+def _q(curve: CurveSpec, levels: tuple[int, ...], q_id: int, gamma: int) -> tuple[int, ...]:
+    top = curve.n - 1
+    a = _negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])
+    upper = [alpha == gamma and v == top for alpha, v in zip(curve.alphas, a)]
+    lower = [alpha == gamma and v == 0 for alpha, v in zip(curve.alphas, a)]
+    lower[q_id] = True
+    return _two_blocks(top, a, upper, lower)
+
+
+def _shift(curve: CurveSpec, levels: tuple[int, ...], q_id: int, r_id: int) -> tuple[int, ...]:
+    top = curve.n - 1
+    entries = {}
+    for p, v in enumerate(_negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])):
+        if p not in (q_id, r_id):
+            entries[(min(q_id, p), max(q_id, p))] = 2 * v - top
+            entries[(min(r_id, p), max(r_id, p))] = top - 2 * v
+    return tuple(entries.get(pair, 0) for pair in _pairs(curve.point_count))
 
 
 def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
@@ -264,9 +280,7 @@ def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
     the leads.
     """
     _require_xi(xi)
-    top = xi.curve.n - 1
-    a = _reflections(xi, beta)
-    return _two_blocks(xi.curve, a, [v == top for v in a], [v == 0 for v in a])
+    return _matrix(xi.curve, _g(xi.curve, xi.levels, beta))
 
 
 def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> ExponentMatrix:
@@ -288,12 +302,7 @@ def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> Exponent
         raise DivisorError("the base point must sit at level 0")
     if gamma not in curve.classes:
         raise DivisorError(f"no branch points of class {gamma}")
-    top = curve.n - 1
-    a = _reflections(xi, curve.alphas[q_id])
-    upper = [alpha == gamma and v == top for alpha, v in zip(curve.alphas, a)]
-    lower = [alpha == gamma and v == 0 for alpha, v in zip(curve.alphas, a)]
-    lower[q_id] = True
-    return _two_blocks(curve, a, upper, lower)
+    return _matrix(curve, _q(curve, xi.levels, q_id, gamma))
 
 
 def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMatrix:
@@ -305,13 +314,7 @@ def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMa
     """
     _require_xi(xi)
     _require_swap_pair(xi, q_id, r_id)
-    top = xi.curve.n - 1
-    entries = {}
-    for p, v in enumerate(_reflections(xi, xi.curve.alphas[q_id])):
-        if p not in (q_id, r_id):
-            entries[(min(q_id, p), max(q_id, p))] = 2 * v - top
-            entries[(min(r_id, p), max(r_id, p))] = top - 2 * v
-    return ExponentMatrix._normalised(xi.curve, entries)
+    return _matrix(xi.curve, _shift(xi.curve, xi.levels, q_id, r_id))
 
 
 def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:

@@ -27,7 +27,7 @@ from functools import reduce
 from operator import lt
 from typing import Iterator, Optional
 
-from .curve import CurveSpec
+from .curve import CurveSpec, is_int
 
 
 class DivisorError(ValueError):
@@ -62,8 +62,17 @@ class LeveledDivisor:
         levels = self.levels
         if len(levels) != self.curve.point_count:
             raise DivisorError("one level per branch point required")
+        if not all(map(is_int, levels)):
+            raise DivisorError(f"levels must be integers: {levels}")
         if levels and (min(levels) < 0 or max(levels) > n - 1):
             raise DivisorError(f"levels must lie in 0..{n - 1}: {levels}")
+
+    @classmethod
+    def _unchecked(cls, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
+        """A divisor whose levels are known to be integers in 0..n-1."""
+        out = object.__new__(cls)
+        out.__dict__.update(curve=curve, levels=levels, kind=kind)
+        return out
 
     def exponent(self, point: int) -> int:
         return self.curve.n - 1 - self.levels[point]
@@ -76,9 +85,6 @@ class LeveledDivisor:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def with_levels(self, levels: tuple[int, ...]) -> "LeveledDivisor":
-        return LeveledDivisor(self.curve, levels, self.kind)
 
     def support(self) -> tuple[int, ...]:
         """Indices of the points appearing with a positive exponent."""

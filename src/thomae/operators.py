@@ -4,13 +4,21 @@ the base-point rotation M, and the dihedral group they generate.
 All operators act on the level vector of a shifted-degree divisor (kind XI)
 and return a new divisor; exponents are derived views, so the wrap-around
 at level 0 and level n-1 is ordinary arithmetic mod n.
+
+Each operator is a kernel from level tuple to level tuple over per-point
+level maps tabulated once per (n, alphas); ``verify`` and ``orbits`` call
+the kernels directly.  The public functions check their input, call a kernel
+and wrap its image unvalidated, as every kernel reduces its levels mod n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from operator import eq, getitem
 
-from .curve import k_inverse
+from .curve import is_int, k_inverse
 from .divisors import DivisorError, DivisorKind, LeveledDivisor
 
 
@@ -34,6 +42,85 @@ def b_value(beta: int, alpha: int, l: int, n: int) -> int:
     return (2 * alpha * k_inverse(beta, n) - 1 - l) % n
 
 
+class _Lazy(dict):
+    """A table whose entry for a key is built by ``build`` on first use."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Tables:
+    """One curve's level maps, built on first use: map[i][l] is point i's image
+    at level l.  rotations[k mod n] is M^k, negations[beta] is N_beta for any
+    unit beta, reflections[beta] is T's b-reflection for a base point of class
+    beta; expected[q][j][r] is R's partner level with Q at level j, -1 at Q."""
+
+    def __init__(self, n: int, alphas: tuple[int, ...]):
+        self.n, self.alphas, self.points = n, alphas, range(len(alphas))
+        self.flip = tuple(range(n - 1, -1, -1))
+        self.rotations = _Lazy(lambda k: self._maps(lambda a, l: l - a * k))
+        self.negations = _Lazy(lambda b: self._maps(lambda a, l: a_value(b, a, l, n)))
+        self.reflections = _Lazy(lambda b: self._maps(lambda a, l: b_value(b, a, l, n)))
+        self.expected = _Lazy(self._expected)
+
+    def _maps(self, rule) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(rule(a, l) % self.n for l in range(self.n)) for a in self.alphas)
+
+    def _expected(self, q: int) -> tuple[tuple[int, ...], ...]:
+        n, step = self.n, k_inverse(self.alphas[q], self.n)  # gamma * beta^{-1} * (j+1)
+        return tuple(
+            tuple(-1 if r == q else (g * step * (j + 1)) % n for r, g in enumerate(self.alphas))
+            for j in range(n)
+        )
+
+
+_tables = lru_cache(maxsize=None)(_Tables)  # _tables(n, alphas), one per curve
+
+
+def _tables_of(xi: LeveledDivisor) -> _Tables:
+    return _tables(xi.curve.n, xi.curve.alphas)
+
+
+def _rotate(t: _Tables, levels: tuple, k: int) -> tuple:
+    return tuple(map(getitem, t.rotations[k % t.n], levels))
+
+
+def _reflect(t: _Tables, levels: tuple) -> tuple:
+    return tuple(map(t.flip.__getitem__, levels))
+
+
+def _negate(t: _Tables, levels: tuple, beta: int) -> tuple:
+    return tuple(map(getitem, t.negations[beta], levels))
+
+
+def _swap(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
+    """T: the b-reflection of every point, then Q drops and R rises."""
+    return _swap_hat(t, tuple(map(getitem, t.reflections[t.alphas[q]], levels)), r, q)
+
+
+def _swap_hat(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
+    out = list(levels)
+    out[q], out[r] = (out[q] + 1) % t.n, (out[r] - 1) % t.n
+    return tuple(out)
+
+
+def _partners(t: _Tables, levels: tuple, q: int) -> tuple[int, ...]:
+    return tuple(compress(t.points, map(eq, t.expected[q][levels[q]], levels)))
+
+
+def _group(t: _Tables, levels: tuple, g: "GroupElement") -> tuple:
+    out = _reflect(t, levels) if g.reflect else levels
+    return _rotate(t, out, g.shift) if g.shift else out
+
+
+def _image(xi: LeveledDivisor, levels: tuple) -> LeveledDivisor:
+    return LeveledDivisor._unchecked(xi.curve, levels, xi.kind)
+
+
 def _require_xi(xi: LeveledDivisor) -> None:
     if xi.kind is not DivisorKind.XI:
         raise DivisorError("operators act on divisors of kind XI")
@@ -55,26 +142,21 @@ def _require_swap_pair(xi: LeveledDivisor, q_id: int, r_id: int) -> None:
 def apply_N_beta(xi: LeveledDivisor, beta: int) -> LeveledDivisor:
     """Negation: every point of class alpha at level l moves to a_{beta,alpha}(l)."""
     _require_xi(xi)
-    n = xi.curve.n
-    levels = tuple(
-        a_value(beta, a, l, n) for a, l in zip(xi.curve.alphas, xi.levels)
-    )
-    return xi.with_levels(levels)
+    return _image(xi, _negate(_tables_of(xi), xi.levels, beta))
 
 
 def apply_M(xi: LeveledDivisor, k: int = 1) -> LeveledDivisor:
     """Base-point rotation: a point of class alpha drops by alpha * k levels."""
     _require_xi(xi)
-    n = xi.curve.n
-    levels = tuple((l - a * k) % n for a, l in zip(xi.curve.alphas, xi.levels))
-    return xi.with_levels(levels)
+    if not is_int(k):
+        raise DivisorError(f"the rotation power must be an integer, got {k!r}")
+    return _image(xi, _rotate(_tables_of(xi), xi.levels, k))
 
 
 def apply_N(xi: LeveledDivisor) -> LeveledDivisor:
     """The plain reflection l -> n-1-l, the k = 0 member of the reflections."""
     _require_xi(xi)
-    n = xi.curve.n
-    return xi.with_levels(tuple(n - 1 - l for l in xi.levels))
+    return _image(xi, _reflect(_tables_of(xi), xi.levels))
 
 
 def t_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
@@ -89,32 +171,20 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     the image keeps Q at level 0 and R at its original level.
     """
     _require_swap_pair(xi, q_id, r_id)
-    n = xi.curve.n
-    beta = xi.curve.alphas[q_id]
-    gamma = xi.curve.alphas[r_id]
+    t = _tables_of(xi)
     if xi.levels[q_id] != 0:
         raise AdmissibilityError("base point not at level 0", q_id, xi.levels[q_id], 0)
-    expected = (gamma * k_inverse(beta, n)) % n
+    expected = t.expected[q_id][0][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
-    levels = [b_value(beta, a, l, n) for a, l in zip(xi.curve.alphas, xi.levels)]
-    levels[q_id] = (levels[q_id] - 1) % n
-    levels[r_id] = (levels[r_id] + 1) % n
-    return xi.with_levels(tuple(levels))
-
-
-def _t_hat_step(xi: LeveledDivisor, q_id: int) -> int:
-    """beta^{-1} * (j+1) mod n for Q of class beta at level j: a partner of
-    class gamma must sit at level gamma times this, mod n."""
-    n = xi.curve.n
-    return (k_inverse(xi.curve.alphas[q_id], n) * (xi.levels[q_id] + 1)) % n
+    return _image(xi, _swap(t, xi.levels, q_id, r_id))
 
 
 def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
     _require_points(xi, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
-    return xi.levels[r_id] == (xi.curve.alphas[r_id] * _t_hat_step(xi, q_id)) % xi.curve.n
+    return xi.levels[r_id] == _tables_of(xi).expected[q_id][xi.levels[q_id]][r_id]
 
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
@@ -122,13 +192,7 @@ def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
     _require_points(xi, q_id)
     if xi.kind is not DivisorKind.XI:
         return ()
-    n = xi.curve.n
-    step = _t_hat_step(xi, q_id)
-    return tuple(
-        r
-        for r, (gamma, l) in enumerate(zip(xi.curve.alphas, xi.levels))
-        if l == (gamma * step) % n and r != q_id
-    )
+    return _partners(_tables_of(xi), xi.levels, q_id)
 
 
 def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
@@ -139,14 +203,11 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     M-orbits, and the inverse is the same operator with Q and R exchanged.
     """
     _require_swap_pair(xi, q_id, r_id)
-    n = xi.curve.n
-    expected = (xi.curve.alphas[r_id] * _t_hat_step(xi, q_id)) % n
+    t = _tables_of(xi)
+    expected = t.expected[q_id][xi.levels[q_id]][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
-    levels = list(xi.levels)
-    levels[q_id] = (levels[q_id] + 1) % n
-    levels[r_id] = (levels[r_id] - 1) % n
-    return xi.with_levels(tuple(levels))
+    return _image(xi, _swap_hat(t, xi.levels, q_id, r_id))
 
 
 def base_point_representative(xi: LeveledDivisor, q_id: int) -> LeveledDivisor:
@@ -154,10 +215,9 @@ def base_point_representative(xi: LeveledDivisor, q_id: int) -> LeveledDivisor:
     _require_xi(xi)
     _require_points(xi, q_id)
     n = xi.curve.n
-    alpha = xi.curve.alphas[q_id]
     # solve level - alpha*k = 0 mod n for k
-    k = (xi.levels[q_id] * k_inverse(alpha, n)) % n
-    return apply_M(xi, k)
+    k = (xi.levels[q_id] * k_inverse(xi.curve.alphas[q_id], n)) % n
+    return _image(xi, _rotate(_tables_of(xi), xi.levels, k))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +233,8 @@ class GroupElement:
     reflect: bool
 
     def __post_init__(self):
+        if not (is_int(self.n) and is_int(self.shift)) or self.n < 2:
+            raise DivisorError(f"need an integer n >= 2 and shift, got {self.n!r}, {self.shift!r}")
         object.__setattr__(self, "shift", self.shift % self.n)
 
     @classmethod
@@ -220,8 +282,7 @@ def apply_group(xi: LeveledDivisor, g: GroupElement) -> LeveledDivisor:
     _require_xi(xi)
     if g.n != xi.curve.n:
         raise DivisorError("group element has the wrong modulus")
-    out = apply_N(xi) if g.reflect else xi
-    return apply_M(out, g.shift) if g.shift else out
+    return _image(xi, _group(_tables_of(xi), xi.levels, g))
 
 
 def group_elements(n: int) -> list[GroupElement]:

@@ -25,7 +25,7 @@ from .divisors import (
     count_divisors,
     enumerate_divisors,
 )
-from .operators import apply_M, apply_N, apply_T_hat, t_hat_partners
+from .operators import _partners, _reflect, _rotate, _swap_hat, _tables
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,13 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     index = {v.levels: i for i, v in enumerate(verts)}
     npts = spec.point_count
     swap_labels = [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
+    t = _tables(spec.n, spec.alphas)
     adjacency = []
-    for v in verts:
-        images = [(apply_M(v, 1), "M"), (apply_M(v, -1), "M^-1"), (apply_N(v), "N")]
+    for v in index:  # the level tuples, in vertex order
+        images = [(_rotate(t, v, 1), "M"), (_rotate(t, v, -1), "M^-1"), (_reflect(t, v), "N")]
         for q in range(npts):
-            images += [(apply_T_hat(v, q, r), swap_labels[q][r]) for r in t_hat_partners(v, q)]
-        adjacency.append([(index[w.levels], label) for w, label in images])
+            images += [(_swap_hat(t, v, q, r), swap_labels[q][r]) for r in _partners(t, v, q)]
+        adjacency.append([(index[w], label) for w, label in images])
     return OrbitGraph(spec, tuple(verts), adjacency, index)
 
 
@@ -140,6 +141,8 @@ def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
     """Either every level of class beta is occupied and the mirror class is
     absent from the curve, or some level j of class beta is occupied together
     with level n-1-j of the mirror class."""
+    if xi.kind is not DivisorKind.XI:
+        raise DivisorError("the occupation hypotheses concern divisors of kind XI")
     curve = xi.curve
     n = curve.n
     mirror = (n - beta) % n
@@ -183,13 +186,13 @@ def difbeta_reachability(
             f"occupation hypothesis fails for class {beta}"
         )
     swap_points = [i for i, a in enumerate(curve.alphas) if a in pair_classes]
+    t = _tables(n, curve.alphas)
 
     def swaps(levels):
-        cur = xi.with_levels(levels)
         for q in swap_points:
-            for r in t_hat_partners(cur, q):
+            for r in _partners(t, levels, q):
                 if curve.alphas[r] in pair_classes:
-                    yield apply_T_hat(cur, q, r).levels, None
+                    yield _swap_hat(t, levels, q, r), None
 
     return upsilon.levels in _search(xi.levels, swaps, upsilon.levels)
 

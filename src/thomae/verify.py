@@ -13,23 +13,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .curve import CurveSpec
-from .denominators import (
-    EvalMode,
-    degree,
-    evaluate,
-    full_denominator,
-    matrix_quotient,
-    pmt_denominator,
-    pmt_gamma_denominator,
-    theta_relation_shift,
-)
+from .denominators import EvalMode, _g, _h, _matrix, _q, _shift, degree, evaluate, full_denominator
 from .divisors import (
     DivisorError,
     DivisorKind,
     LeveledDivisor,
+    _meets,
     brute_force_divisors,
     enumerate_divisors,
     satisfies_conditions,
@@ -37,13 +30,13 @@ from .divisors import (
 )
 from .operators import (
     GroupElement,
-    apply_group,
-    apply_M,
-    apply_N_beta,
-    apply_T,
-    apply_T_hat,
-    t_admissible,
-    t_hat_partners,
+    _group,
+    _negate,
+    _partners,
+    _rotate,
+    _swap,
+    _swap_hat,
+    _tables,
 )
 
 BRUTE_FORCE_LIMIT = 200_000  # the brute-force checks run only when n ** points is at most this
@@ -143,89 +136,82 @@ class Verifier:
 
     def check_operators(self) -> None:
         spec = self.spec
-        n = spec.n
+        n, xi_shift = spec.n, DivisorKind.XI.shift
+        t = _tables(n, spec.alphas)
+        negations = [(beta, GroupElement.negation(n, beta)) for beta in spec.classes]
         for xi in self.xis:
-            for beta in spec.classes:
-                image = apply_N_beta(xi, beta)
-                if not satisfies_conditions(image):
-                    self._record("operators", f"N_{beta} of {xi.levels} is invalid")
-                if apply_N_beta(image, beta).levels != xi.levels:
-                    self._record("operators", f"N_{beta} not an involution at {xi.levels}")
-                want = apply_group(xi, GroupElement.negation(n, beta))
-                if want.levels != image.levels:
+            levels = xi.levels
+            for beta, element in negations:
+                image = _negate(t, levels, beta)
+                if not _meets(spec, image, xi_shift):
+                    self._record("operators", f"N_{beta} of {levels} is invalid")
+                if _negate(t, image, beta) != levels:
+                    self._record("operators", f"N_{beta} not an involution at {levels}")
+                if _group(t, levels, element) != image:
                     self._record(
-                        "operators", f"N_{beta} disagrees with its group element at {xi.levels}"
+                        "operators", f"N_{beta} disagrees with its group element at {levels}"
                     )
-            if apply_M(xi, n).levels != xi.levels:
-                self._record("operators", f"M^n != id at {xi.levels}")
-            if not satisfies_conditions(apply_M(xi, 1)):
-                self._record("operators", f"M of {xi.levels} is invalid")
+            if _rotate(t, levels, n) != levels:
+                self._record("operators", f"M^n != id at {levels}")
+            if not _meets(spec, _rotate(t, levels, 1), xi_shift):
+                self._record("operators", f"M of {levels} is invalid")
             for q in range(spec.point_count):
-                if xi.levels[q] == 0:  # T needs its base point Q at level 0
-                    for r in range(spec.point_count):
-                        if not t_admissible(xi, q, r):
-                            continue
-                        image = apply_T(xi, q, r)
-                        if not satisfies_conditions(image):
-                            self._record("operators", f"T:{q},{r} of {xi.levels} is invalid")
-                        if image.levels[r] != xi.levels[r]:
-                            self._record(
-                                "operators", f"T:{q},{r} moved the partner at {xi.levels}"
-                            )
-                        if apply_T(image, q, r).levels != xi.levels:
-                            self._record(
-                                "operators", f"T:{q},{r} not an involution at {xi.levels}"
-                            )
-                for r in t_hat_partners(xi, q):
-                    image = apply_T_hat(xi, q, r)
-                    if not satisfies_conditions(image):
-                        self._record("operators", f"That:{q},{r} of {xi.levels} is invalid")
-                    if apply_T_hat(image, r, q).levels != xi.levels:
-                        self._record("operators", f"That:{r},{q} does not invert at {xi.levels}")
+                partners = _partners(t, levels, q)
+                if levels[q] == 0:  # T needs its base point Q at level 0
+                    for r in partners:
+                        image = _swap(t, levels, q, r)
+                        if not _meets(spec, image, xi_shift):
+                            self._record("operators", f"T:{q},{r} of {levels} is invalid")
+                        if image[r] != levels[r]:
+                            self._record("operators", f"T:{q},{r} moved the partner at {levels}")
+                        if _swap(t, image, q, r) != levels:
+                            self._record("operators", f"T:{q},{r} not an involution at {levels}")
+                for r in partners:
+                    image = _swap_hat(t, levels, q, r)
+                    if not _meets(spec, image, xi_shift):
+                        self._record("operators", f"That:{q},{r} of {levels} is invalid")
+                    if _swap_hat(t, image, r, q) != levels:
+                        self._record("operators", f"That:{r},{q} does not invert at {levels}")
 
     def check_denominators(self) -> None:
         spec = self.spec
+        t = _tables(spec.n, spec.alphas)
         degrees = set()
         for xi in self.xis:
-            h = full_denominator(xi)
-            degrees.add(degree(h))
+            levels = xi.levels
+            h = _h(spec, levels)
+            whole = _matrix(spec, h)
+            degrees.add(degree(whole))
             slots = sorted(xi.sets(), reverse=True)
-            if full_denominator(xi, slot_order=slots) != h:
-                self._record("denominators", f"assembly order changes h at {xi.levels}")
-            if full_denominator(apply_M(xi, 1)) != h:
-                self._record("denominators", f"h not rotation invariant at {xi.levels}")
+            if full_denominator(xi, slot_order=slots) != whole:
+                self._record("denominators", f"assembly order changes h at {levels}")
+            if _h(spec, _rotate(t, levels, 1)) != h:
+                self._record("denominators", f"h not rotation invariant at {levels}")
             for beta in spec.classes:
-                if full_denominator(apply_N_beta(xi, beta)) != h:
+                if _h(spec, _negate(t, levels, beta)) != h:
                     self._record(
-                        "denominators", f"h not negation invariant at {xi.levels}, beta={beta}"
+                        "denominators", f"h not negation invariant at {levels}, beta={beta}"
                     )
             for q in range(spec.point_count):
-                if xi.levels[q] != 0:
+                if levels[q] != 0:
                     continue
                 beta = spec.alphas[q]
-                g0 = pmt_denominator(xi, beta)
-                for r in range(spec.point_count):
-                    if q == r or not t_admissible(xi, q, r):
-                        continue
-                    image = apply_T(xi, q, r)
-                    shift = theta_relation_shift(xi, q, r)
-                    if matrix_quotient(full_denominator(image), h) != shift:
+                g0 = _g(spec, levels, beta)
+                for r in _partners(t, levels, q):
+                    image = _swap(t, levels, q, r)
+                    shift = _shift(spec, levels, q, r)
+                    if tuple(map(sub, _h(spec, image), h)) != shift:
+                        self._record("denominators", f"h shift wrong under T:{q},{r} at {levels}")
+                    if tuple(map(sub, _g(spec, image, beta), g0)) != shift:
                         self._record(
-                            "denominators",
-                            f"h shift wrong under T:{q},{r} at {xi.levels}",
-                        )
-                    if matrix_quotient(pmt_denominator(image, beta), g0) != shift:
-                        self._record(
-                            "denominators",
-                            f"g^{beta} shift wrong under T:{q},{r} at {xi.levels}",
+                            "denominators", f"g^{beta} shift wrong under T:{q},{r} at {levels}"
                         )
                     gamma = spec.alphas[r]
-                    q0 = pmt_gamma_denominator(xi, q, gamma)
-                    q1 = pmt_gamma_denominator(image, q, gamma)
-                    if matrix_quotient(q1, q0) != shift:
+                    q0 = _q(spec, levels, q, gamma)
+                    if tuple(map(sub, _q(spec, image, q, gamma), q0)) != shift:
                         self._record(
                             "denominators",
-                            f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at {xi.levels}",
+                            f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at {levels}",
                         )
         if len(degrees) > 1:
             self._record("denominators", f"h degrees differ across divisors: {sorted(degrees)}")

@@ -9,9 +9,11 @@ from thomae import (
     DivisorError,
     DivisorKind,
     GroupElement,
+    LeveledDivisor,
     a_value,
     apply_group,
     apply_M,
+    apply_N,
     apply_N_beta,
     apply_T,
     apply_T_hat,
@@ -202,6 +204,25 @@ def test_operators_reject_bad_point_indices(operator, args):
         operator(xi, *args)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda curve, xi: LeveledDivisor(curve, (0.5, 1, 2, 3), DivisorKind.XI),
+        lambda curve, xi: LeveledDivisor(curve, (True, 3, 4, 0), DivisorKind.XI),
+        lambda curve, xi: apply_M(xi, 2.5),
+        lambda curve, xi: GroupElement(0, 1, False),
+        lambda curve, xi: GroupElement(1, 0, False),
+        lambda curve, xi: GroupElement(5, 1.5, True),
+    ],
+    ids=["float_level", "bool_level", "float_rotation", "n_0", "n_1", "float_shift"],
+)
+def test_non_integer_input_is_refused(make):
+    curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    xi = next(x for x in xis(curve) if x.levels == (1, 3, 4, 0))
+    with pytest.raises(DivisorError):
+        make(curve, xi)
+
+
 def test_swap_admissibility_error_payload():
     curve = CurveSpec.from_alphas(5, [1, 2, 2])
     bad = None
@@ -241,6 +262,37 @@ def test_simple_swap_partners_match_probes(full_battery):
             for q in points:
                 probed = tuple(r for r in points if t_hat_admissible(xi, q, r))
                 assert t_hat_partners(xi, q) == probed
+
+
+def test_operator_images_match_their_definitions(full_battery):
+    """Every public image and partner list against the operators' definitions,
+    transcribed point by point."""
+    for curve in full_battery:
+        n, alphas, points = curve.n, curve.alphas, range(curve.point_count)
+        for xi in xis(curve):
+            lv = xi.levels
+            for k in (1, -1, n):
+                assert apply_M(xi, k).levels == tuple((l - a * k) % n for a, l in zip(alphas, lv))
+            assert apply_N(xi).levels == tuple(n - 1 - l for l in lv)
+            for beta in coprime_residues(n):
+                want = tuple(a_value(beta, a, l, n) for a, l in zip(alphas, lv))
+                assert apply_N_beta(xi, beta).levels == want
+            for q in points:
+                beta_inv = pow(alphas[q], -1, n)
+                partners = []
+                for r in points:
+                    if r == q:
+                        continue
+                    if lv[q] == 0 and lv[r] == alphas[r] * beta_inv % n:
+                        want = [b_value(alphas[q], a, l, n) for a, l in zip(alphas, lv)]
+                        want[q], want[r] = (want[q] - 1) % n, (want[r] + 1) % n
+                        assert apply_T(xi, q, r).levels == tuple(want)
+                    if lv[r] == alphas[r] * beta_inv * (lv[q] + 1) % n:
+                        partners.append(r)
+                        want = list(lv)
+                        want[q], want[r] = (want[q] + 1) % n, (want[r] - 1) % n
+                        assert apply_T_hat(xi, q, r).levels == tuple(want)
+                assert t_hat_partners(xi, q) == tuple(partners)
 
 
 def test_simple_swap_admissibility_is_orbit_stable(small_battery):

@@ -225,13 +225,14 @@ def test_difbeta_rejects_failed_hypothesis():
 
 
 def test_difbeta_rejects_divisors_not_of_kind_xi():
-    # every pair of DELTA divisors here passes the agreement check and the
-    # occupation hypothesis, and a DELTA-kinded copy of a shifted divisor
-    # has levels the XI search can reach
+    # every pair of DELTA divisors here passes the agreement check, and a
+    # DELTA-kinded copy of a shifted divisor has levels the XI search can
+    # reach; the occupation hypotheses concern shifted divisors only
     curve = CurveSpec.from_alphas(5, [1, 1, 4, 4])
     deltas = list(enumerate_divisors(curve, DivisorKind.DELTA))
     xi = next(iter(enumerate_divisors(curve, DivisorKind.XI)))
-    assert difbeta_hypothesis(deltas[0], 1)
+    with pytest.raises(DivisorError, match="kind XI"):
+        difbeta_hypothesis(deltas[0], 1)
     with pytest.raises(ReachabilityPreconditionError, match="kind XI"):
         difbeta_reachability(deltas[0], deltas[1], 1)
     as_delta = LeveledDivisor(curve, xi.levels, DivisorKind.DELTA)

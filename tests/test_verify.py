@@ -54,15 +54,15 @@ def test_operators_check_applies_every_admissible_swap(monkeypatch):
     p^2 pairs, gets its swap and the swap back, and nothing else does."""
     calls = Counter()
 
-    def recording(name, operator):
-        def apply(xi, q, r):
-            calls[name, xi.levels, q, r] += 1
-            return operator(xi, q, r)
+    def recording(name, kernel):
+        def apply(tables, levels, q, r):
+            calls[name, levels, q, r] += 1
+            return kernel(tables, levels, q, r)
 
         return apply
 
-    monkeypatch.setattr(verify, "apply_T", recording("T", apply_T))
-    monkeypatch.setattr(verify, "apply_T_hat", recording("That", apply_T_hat))
+    monkeypatch.setattr(verify, "_swap", recording("T", verify._swap))
+    monkeypatch.setattr(verify, "_swap_hat", recording("That", verify._swap_hat))
     spec = CurveSpec.from_alphas(5, [1, 1, 1, 2])
     _, findings = run_suite(spec, ["operators"])
     assert findings == []
