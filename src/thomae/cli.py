@@ -128,11 +128,7 @@ def _cmd_enumerate(args) -> int:
         report["count"] = count_divisors(curve, kind, avoid=args.avoid)
         _emit(report, args.format)
         return 0
-    divisors = []
-    slot = None if args.avoid is None else kind.avoided_level(curve, args.avoid)
-    for div in enumerate_divisors(curve, kind):
-        if slot is None or div.levels[args.avoid] == slot:
-            divisors.append(_divisor_dict(div))
+    divisors = [_divisor_dict(div) for div in enumerate_divisors(curve, kind, avoid=args.avoid)]
     report["count"] = len(divisors)
     report["divisors"] = divisors
     _emit(report, args.format, csv_rows=[d["levels"] for d in divisors])
@@ -229,14 +225,14 @@ def _cmd_denominator(args) -> int:
 def _cmd_orbits(args) -> int:
     curve = load_curve(args.curve).require_valid()
     graph = build_graph(curve, max_vertices=args.max_vertices)
-    comps = graph.components()
+    sizes = graph.component_sizes()
     report = _report_meta({"curve": args.curve})
     report.update(
-        vertices=len(graph.vertices),
-        edges=sum(map(len, graph.adjacency)),
-        components=len(comps),
-        component_sizes=sorted(len(c) for c in comps),
-        m_orbits=len(graph.m_orbits()),
+        vertices=graph.vertex_count,
+        edges=graph.edge_count,
+        components=len(sizes),
+        component_sizes=sizes,
+        m_orbits=len(graph.reps),
     )
     if args.witness:
         src = _load_divisor(args.witness[0], curve)

@@ -123,6 +123,29 @@ class CurveSpec:
         n = self.n
         return tuple(tuple((a * k) % n for a in self.alphas) for k in range(1, n))
 
+    @cached_property
+    def packed(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Optional[int], ...]]:
+        """The k-conditions packed into integers, condition k as digit k-1 in base p+1.
+
+        packed[0][i][l] has digit k-1 equal to 1 when level l lies below
+        alpha_i * k mod n; no digit of a sum over the p points reaches the
+        base, so sums never carry.  packed[1][shift] packs the targets
+        t_k - shift, or is None when one of them lies outside 0..p, so no
+        level tuple meets them.
+        """
+        p, n = self.point_count, self.n
+        powers = [(p + 1) ** k for k in range(n - 1)]
+        rows = list(zip(powers, self.thresholds))
+        contrib = tuple(
+            tuple(sum(w for w, thr in rows if l < thr[i]) for l in range(n)) for i in range(p)
+        )
+        targets = tuple(
+            sum(w * (t - shift) for w, t in zip(powers, self.t_values[1:]))
+            if all(0 <= t - shift <= p for t in self.t_values[1:]) else None
+            for shift in (0, 1)
+        )
+        return contrib, targets
+
     def validate(self) -> list[str]:
         """All invariant violations, empty when the curve is usable."""
         problems = []

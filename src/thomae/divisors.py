@@ -7,14 +7,16 @@ level lies below alpha*k mod n equals t_k - 1; the shifted family of degree
 g+n-1 (kind XI) uses t_k instead, so one test serves both kinds.  The same
 left-hand sides drive the specialty index.
 
-Listing is two-staged: first the per-class level-count matrices solving
-the linear conditions, then the expansion assigning the labeled points of
-each class to levels.  The matrix search gives each level of a class a
-feasible interval for how many of the class's points lie at or below it, so
-every row it starts is completed.
-
-Counting builds no matrix: it meets in the middle over the points' packed
-contributions to the n-1 conditions (see ``_count_assignments``).
+The curve packs the n-1 conditions into one integer per point and level
+(``CurveSpec.packed``), so a level tuple meets them exactly when its packed
+contributions sum to the packed target.  Testing, counting and listing all
+read that table.  Both counting and listing meet in the middle: counting
+folds multisets of partial sums (``_count_assignments``); listing files the
+second half's level tuples under their sums and joins every first half with
+the tuples completing it, so divisors come out in lexicographic order
+(``_list_assignments``).  The brute-force oracle keeps the condition test
+written out per k.  The per-class level-count matrices and their expansion
+into labeled points remain as a second, independent listing.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import lt
+from operator import getitem, lt
 from typing import Iterator, Optional
 
 from .curve import CurveSpec, is_int
@@ -59,7 +61,11 @@ class LeveledDivisor:
 
     def __post_init__(self):
         n = self.curve.n
-        levels = self.levels
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            raise DivisorError(f"levels must be a sequence, got {self.levels!r}") from None
+        object.__setattr__(self, "levels", levels)
         if len(levels) != self.curve.point_count:
             raise DivisorError("one level per branch point required")
         if not all(map(is_int, levels)):
@@ -107,10 +113,8 @@ def condition_lhs(divisor: LeveledDivisor, k: int) -> int:
 
 def _meets(spec: CurveSpec, levels: tuple[int, ...], shift: int) -> bool:
     """For every k, exactly t_k - shift of the levels lie below alpha * k mod n."""
-    for thr, t in zip(spec.thresholds, spec.t_values[1:]):
-        if sum(map(lt, levels, thr)) != t - shift:
-            return False
-    return True
+    contrib, targets = spec.packed
+    return sum(map(getitem, contrib, levels)) == targets[shift]
 
 
 def satisfies_conditions(divisor: LeveledDivisor) -> bool:
@@ -267,23 +271,38 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
         yield LeveledDivisor(spec, levels, matrix.kind)
 
 
-def enumerate_divisors(spec: CurveSpec, kind: DivisorKind) -> Iterator[LeveledDivisor]:
-    """All valid divisors of the given kind, duplicate-free, deterministic order."""
-    for matrix in enumerate_cardinality_matrices(spec, kind):
-        yield from expand_matrix(matrix, spec)
+def enumerate_divisors(
+    spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = None
+) -> Iterator[LeveledDivisor]:
+    """All valid divisors of the given kind in ascending lexicographic order of
+    their levels; with ``avoid`` set, those with that point at
+    ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` stored
+    level tuples."""
+    for levels in _list_assignments(spec, kind, _allowed(spec, kind, avoid)):
+        yield LeveledDivisor._unchecked(spec, levels, kind)
+
+
+def _meets_per_k(rows: list, levels: tuple[int, ...]) -> bool:
+    """Each (thresholds, target) row: exactly target of the levels lie below
+    the thresholds."""
+    for thr, target in rows:
+        if sum(map(lt, levels, thr)) != target:
+            return False
+    return True
 
 
 def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivisor]:
-    """Filter of all n^points level assignments; the enumeration oracle."""
-    shift = kind.shift
+    """Filter of all n^points level assignments; the enumeration oracle.  Its
+    condition test is written out per k and shares nothing with the packing."""
+    rows = [(thr, t - kind.shift) for thr, t in zip(spec.thresholds, spec.t_values[1:])]
     return [
         LeveledDivisor(spec, levels, kind)
         for levels in itertools.product(range(spec.n), repeat=spec.point_count)
-        if _meets(spec, levels, shift)
+        if _meets_per_k(rows, levels)
     ]
 
 
-STATE_BUDGET = 1_000_000  # partial sums a half-table of a count may hold
+STATE_BUDGET = 1_000_000  # partial sums in a half-table of a count; level tuples a listing stores
 
 
 def _fold(table: Counter, steps: list[int]) -> Counter:
@@ -297,33 +316,66 @@ def _fold(table: Counter, steps: list[int]) -> Counter:
     return out
 
 
+def _allowed(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int]) -> list:
+    """Every level for every point, or only ``kind.avoided_level`` for ``avoid``."""
+    allowed = [range(spec.n)] * spec.point_count
+    if avoid is not None:
+        allowed[avoid] = (kind.avoided_level(spec, avoid),)
+    return allowed
+
+
 def _count_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> int:
     """Assignments meeting the conditions of ``kind`` with point i at a level in allowed[i];
     half the points fold forward from 0, the rest but one back from the target."""
-    base = spec.point_count + 1
-    targets = [spec.t_value(k) - kind.shift for k in range(1, spec.n)]
-    if any(not 0 <= tg <= spec.point_count for tg in targets):
+    contrib, targets = spec.packed
+    target = targets[kind.shift]
+    if target is None:
         return 0
-    # point i at level l adds base**(k-1) when l < alpha_i*k mod n, and no count reaches
-    # the base, so sums never carry; a class's points sit together, so tables hold multisets
+    # a class's points sit together, so tables hold multisets
     order = sorted(range(spec.point_count), key=spec.alphas.__getitem__)
-    *rest, last = [[sum(base**k for k, thr in enumerate(spec.thresholds) if l < thr[i])
-                    for l in allowed[i]] for i in order] or [[0]]
+    *rest, last = [[contrib[i][l] for l in allowed[i]] for i in order] or [[0]]
     half = (len(rest) + 1) // 2
     front = reduce(_fold, rest[:half], Counter({0: 1}))
-    back = reduce(_fold, ([-w for w in ws] for ws in rest[half:]),
-                  Counter({sum(tg * base**k for k, tg in enumerate(targets)): 1}))
+    back = reduce(_fold, ([-w for w in ws] for ws in rest[half:]), Counter({target: 1}))
     return sum(ways * front.get(total - w, 0) for total, ways in back.items() for w in last)
+
+
+def _list_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> Iterator[tuple]:
+    """The level tuples counted by ``_count_assignments``, in lexicographic order
+    when every allowed[i] ascends.
+
+    The points split at p//2 in curve order.  Every tuple of the second part's
+    levels whose packed sum does not pass the target is filed under that sum,
+    in product order; each tuple of the first part's levels, in product order,
+    is then joined with the tuples filed under what it lacks of the target.
+    """
+    contrib, targets = spec.packed
+    target = targets[kind.shift]
+    if target is None:
+        return
+    split = spec.point_count // 2
+    head, tail = contrib[:split], contrib[split:]
+    back: dict[int, list] = {}
+    stored = 0
+    for suffix in itertools.product(*allowed[split:]):
+        total = sum(map(getitem, tail, suffix))
+        if total <= target:
+            back.setdefault(total, []).append(suffix)
+            stored += 1
+            if stored > STATE_BUDGET:
+                raise DivisorError(
+                    f"listing needs over {STATE_BUDGET:,} stored level tuples; refused"
+                )
+    for prefix in itertools.product(*allowed[:split]):
+        for suffix in back.get(target - sum(map(getitem, head, prefix)), ()):
+            yield prefix + suffix
 
 
 def count_divisors(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = None) -> int:
     """Exact count of valid divisors by a packed-vector meet in the middle, with
     no matrix search; with ``avoid`` set, of those with that point at
     ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` sums."""
-    allowed = [range(spec.n)] * spec.point_count
-    if avoid is not None:
-        allowed[avoid] = (kind.avoided_level(spec, avoid),)
-    return _count_assignments(spec, kind, allowed)
+    return _count_assignments(spec, kind, _allowed(spec, kind, avoid))
 
 
 def count_base_point_free(spec: CurveSpec) -> int:

@@ -2,25 +2,34 @@
 
 Vertices are the valid shifted divisors (kind XI) of one curve; edges are
 the rotation M, the reflection N (together these generate the dihedral
-group) and every admissible simplified swap, stored as one adjacency list
-(`OrbitGraph.edges` is a view built on demand).  Components of this graph
-are the orbits of the combined action; on every family tested the graph is
-connected, and operator-word witnesses support counterexample hunting.
+group) and every admissible simplified swap.  Components of this graph are
+the orbits of the combined action, and operator-word witnesses support
+counterexample hunting.  The graph need not be connected: n = 7 with
+exponents [1, 1, 2, 2, 4, 4] splits into parts of 7 and 560 divisors.
+
+M commutes with every simplified swap and N maps M-orbits onto M-orbits,
+so every component is a union of M-orbits, and each M-orbit has exactly one
+member with point 0 at level 0.  The graph is therefore built on those
+representatives alone; its vertices, adjacency list and edges are expanded
+only when read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
-from .curve import CurveSpec, is_int
+from .curve import CurveSpec, is_int, k_inverse
 from .divisors import (
     DivisorError,
     DivisorKind,
     LeveledDivisor,
+    _allowed,
+    _list_assignments,
     count_base_point_free,
     count_divisors,
     enumerate_divisors,
@@ -49,29 +58,82 @@ def _search(start, neighbours, goal=None) -> dict:
     return parent
 
 
-def _partition(count: int, neighbours) -> list[list[int]]:
-    """The sorted node sets reached from nodes 0..count-1, each listed once."""
-    parts, seen = [], set()
-    for start in range(count):
-        if start not in seen:
-            parts.append(sorted(_search(start, neighbours)))
-            seen.update(parts[-1])
-    return parts
-
-
 @dataclass
 class OrbitGraph:
-    """The operator graph as one adjacency list.
+    """The operator graph, held as its M-orbit representatives.
 
-    adjacency[i] holds vertex i's out-edges as (target, label) pairs in a
-    fixed order: M, M^-1, N, then every simplified swap "That:q,r" in
-    ascending (q, r) order.  m_orbits relies on the M edge coming first.
+    reps are the vertices with point 0 at level 0, ascending.  The full
+    vertex list (ascending level tuples), the adjacency list and the edges
+    are built when first read.  adjacency[i] holds vertex i's out-edges as
+    (target, label) pairs in a fixed order: M, M^-1, N, then every
+    simplified swap "That:q,r" in ascending (q, r) order.
     """
 
     curve: CurveSpec
-    vertices: tuple[LeveledDivisor, ...]
-    adjacency: list[list[tuple[int, str]]]
-    _index: dict[tuple[int, ...], int] = field(repr=False)
+    reps: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _t(self):
+        return _tables(self.curve.n, self.curve.alphas)
+
+    def _rep(self, levels: tuple) -> tuple:
+        """The member of the M-orbit of ``levels`` with point 0 at level 0."""
+        return _rotate(self._t, levels, levels[0] * k_inverse(self.curve.alphas[0], self.curve.n))
+
+    @cached_property
+    def parts(self) -> list[list[tuple]]:
+        """The components as lists of representatives, each in ascending order."""
+        t, npts = self._t, self.curve.point_count
+
+        def neighbours(v):  # the M edges are loops here
+            yield self._rep(_reflect(t, v)), None
+            for q in range(npts):
+                for r in _partners(t, v, q):
+                    yield self._rep(_swap_hat(t, v, q, r)), None
+
+        parts, seen = [], set()
+        for rep in self.reps:
+            if rep not in seen:
+                parts.append(sorted(_search(rep, neighbours)))
+                seen.update(parts[-1])
+        return parts
+
+    @property
+    def vertex_count(self) -> int:
+        """n vertices per representative: M-orbits are free."""
+        return self.curve.n * len(self.reps)
+
+    @property
+    def edge_count(self) -> int:
+        """n times the out-degrees of the representatives; T-hat partner
+        counts are constant along an M-orbit."""
+        t, npts = self._t, self.curve.point_count
+        return self.curve.n * sum(
+            3 + sum(len(_partners(t, v, q)) for q in range(npts)) for v in self.reps
+        )
+
+    def component_sizes(self) -> list[int]:
+        return sorted(self.curve.n * len(part) for part in self.parts)
+
+    @cached_property
+    def vertices(self) -> tuple[LeveledDivisor, ...]:
+        return tuple(enumerate_divisors(self.curve, DivisorKind.XI))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {v.levels: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, str]]]:
+        t, index, npts = self._t, self._index, self.curve.point_count
+        swap_labels = [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
+        adjacency = []
+        for v in index:  # the level tuples, in vertex order
+            images = [(_rotate(t, v, 1), "M"), (_rotate(t, v, -1), "M^-1"), (_reflect(t, v), "N")]
+            for q in range(npts):
+                images += [(_swap_hat(t, v, q, r), swap_labels[q][r]) for r in _partners(t, v, q)]
+            adjacency.append([(index[w], label) for w, label in images])
+        return adjacency
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -85,8 +147,18 @@ class OrbitGraph:
         except KeyError:
             raise DivisorError(f"divisor {divisor.levels} is not a vertex") from None
 
+    def _ids(self, reps) -> list[int]:
+        """The ascending vertex ids of the M-orbits of ``reps``."""
+        t, n = self._t, self.curve.n
+        return sorted(self._index[_rotate(t, rep, k)] for rep in reps for k in range(n))
+
     def components(self) -> list[list[int]]:
-        return _partition(len(self.vertices), self.adjacency.__getitem__)
+        """Vertex ids of each component, ascending, in order of least member."""
+        return sorted(map(self._ids, self.parts))
+
+    def m_orbits(self) -> list[list[int]]:
+        """Orbits of the rotation alone (every one has exactly n members)."""
+        return sorted(self._ids((rep,)) for rep in self.reps)
 
     def witness(self, source: LeveledDivisor, target: LeveledDivisor) -> Optional[list[str]]:
         """A word in the edge labels leading from source to target, if any."""
@@ -100,33 +172,22 @@ class OrbitGraph:
             word.append(label)
         return word[::-1]
 
-    def m_orbits(self) -> list[list[int]]:
-        """Orbits of the rotation alone (every one has exactly n members)."""
-        return _partition(len(self.vertices), lambda u: self.adjacency[u][:1])
-
 
 def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGraph:
-    """The full operator graph on all valid shifted divisors.
+    """The operator graph on all valid shifted divisors, from one representative
+    per M-orbit; ``max_vertices`` caps the full vertex count.
 
     Vertices come out in the canonical (lexicographic level vector) order.
     Every edge label names its generator; inverse edges are present for all
     generators, so the graph is symmetric-closed.
     """
     spec.require_valid()
-    verts = sorted(enumerate_divisors(spec, DivisorKind.XI), key=lambda d: d.levels)
-    if max_vertices is not None and len(verts) > max_vertices:
-        raise DivisorError(f"{len(verts)} vertices exceed the requested cap {max_vertices}")
-    index = {v.levels: i for i, v in enumerate(verts)}
-    npts = spec.point_count
-    swap_labels = [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
-    t = _tables(spec.n, spec.alphas)
-    adjacency = []
-    for v in index:  # the level tuples, in vertex order
-        images = [(_rotate(t, v, 1), "M"), (_rotate(t, v, -1), "M^-1"), (_reflect(t, v), "N")]
-        for q in range(npts):
-            images += [(_swap_hat(t, v, q, r), swap_labels[q][r]) for r in _partners(t, v, q)]
-        adjacency.append([(index[w], label) for w, label in images])
-    return OrbitGraph(spec, tuple(verts), adjacency, index)
+    reps = tuple(_list_assignments(spec, DivisorKind.XI, _allowed(spec, DivisorKind.XI, 0)))
+    if max_vertices is not None and spec.n * len(reps) > max_vertices:
+        raise DivisorError(
+            f"{spec.n * len(reps)} vertices exceed the requested cap {max_vertices}"
+        )
+    return OrbitGraph(spec, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .divisors import (
 )
 from .operators import (
     GroupElement,
+    _Lazy,
     _group,
     _negate,
     _partners,
@@ -112,7 +113,7 @@ class Verifier:
             if fast != slow:
                 self._record(
                     "enumeration",
-                    f"kind={kind.value}: staged enumeration gives {len(fast)} "
+                    f"kind={kind.value}: enumeration gives {len(fast)} "
                     f"divisors, brute force {len(slow)}",
                 )
             if len(set(fast)) != len(fast):
@@ -176,19 +177,23 @@ class Verifier:
     def check_denominators(self) -> None:
         spec = self.spec
         t = _tables(spec.n, spec.alphas)
+        # each h, g and q is built once and looked up for every image that reaches it
+        hs = _Lazy(lambda levels: _h(spec, levels))
+        gs = _Lazy(lambda key: _g(spec, *key))
+        qs = _Lazy(lambda key: _q(spec, *key))
         degrees = set()
         for xi in self.xis:
             levels = xi.levels
-            h = _h(spec, levels)
+            h = hs[levels]
             whole = _matrix(spec, h)
             degrees.add(degree(whole))
             slots = sorted(xi.sets(), reverse=True)
             if full_denominator(xi, slot_order=slots) != whole:
                 self._record("denominators", f"assembly order changes h at {levels}")
-            if _h(spec, _rotate(t, levels, 1)) != h:
+            if hs[_rotate(t, levels, 1)] != h:
                 self._record("denominators", f"h not rotation invariant at {levels}")
             for beta in spec.classes:
-                if _h(spec, _negate(t, levels, beta)) != h:
+                if hs[_negate(t, levels, beta)] != h:
                     self._record(
                         "denominators", f"h not negation invariant at {levels}, beta={beta}"
                     )
@@ -196,19 +201,18 @@ class Verifier:
                 if levels[q] != 0:
                     continue
                 beta = spec.alphas[q]
-                g0 = _g(spec, levels, beta)
+                g0 = gs[levels, beta]
                 for r in _partners(t, levels, q):
                     image = _swap(t, levels, q, r)
                     shift = _shift(spec, levels, q, r)
-                    if tuple(map(sub, _h(spec, image), h)) != shift:
+                    if tuple(map(sub, hs[image], h)) != shift:
                         self._record("denominators", f"h shift wrong under T:{q},{r} at {levels}")
-                    if tuple(map(sub, _g(spec, image, beta), g0)) != shift:
+                    if tuple(map(sub, gs[image, beta], g0)) != shift:
                         self._record(
                             "denominators", f"g^{beta} shift wrong under T:{q},{r} at {levels}"
                         )
                     gamma = spec.alphas[r]
-                    q0 = _q(spec, levels, q, gamma)
-                    if tuple(map(sub, _q(spec, image, q, gamma), q0)) != shift:
+                    if tuple(map(sub, qs[image, q, gamma], qs[levels, q, gamma])) != shift:
                         self._record(
                             "denominators",
                             f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at {levels}",

@@ -275,6 +275,64 @@ def test_search_matches_brute_force_on_full_battery(full_battery):
                 assert count_base_point_free(curve) == free
 
 
+def test_lister_matches_brute_force_in_order_on_full_battery(full_battery):
+    """The meet-in-the-middle lister gives exactly the brute-force divisors, in
+    the same (lexicographic) order, for both kinds, and with ``avoid`` set it
+    gives exactly those with the avoided point at its slot."""
+    for curve in full_battery:
+        for kind in DivisorKind:
+            brute = [d.levels for d in brute_force_divisors(curve, kind)]
+            assert [d.levels for d in enumerate_divisors(curve, kind)] == brute
+            for i in range(curve.point_count):
+                slot = kind.avoided_level(curve, i)
+                listed = [d.levels for d in enumerate_divisors(curve, kind, avoid=i)]
+                assert listed == [levels for levels in brute if levels[i] == slot]
+
+
+def per_k_conditions(curve, levels, shift):
+    """The conditions written out: for every k, t_k - shift of the levels lie
+    below alpha * k mod n."""
+    n = curve.n
+    for k in range(1, n):
+        below = sum(1 for l, a in zip(levels, curve.alphas) if l < (a * k) % n)
+        if below != curve.t_value(k) - shift:
+            return False
+    return True
+
+
+def test_packed_meets_agrees_with_per_k_test():
+    # the last curve is not a valid curve: alpha * 2 = 0 mod 4 for every point,
+    # so t_2 = 0 and the degree-g target t_2 - 1 lies outside 0..p
+    out_of_range = CurveSpec.from_alphas(4, [2, 2, 2, 2])
+    assert out_of_range.packed[1][DivisorKind.DELTA.shift] is None
+    for curve in curve_battery(5, 4) + [out_of_range]:
+        for levels in itertools.product(range(curve.n), repeat=curve.point_count):
+            for kind in DivisorKind:
+                assert divisors._meets(curve, levels, kind.shift) == per_k_conditions(
+                    curve, levels, kind.shift
+                ), (curve.n, curve.alphas, levels, kind)
+
+
+def test_listing_refuses_past_state_budget(monkeypatch):
+    curve = CurveSpec.from_alphas(11, [1, 1, 1, 10, 10, 10])
+    # the second half's 11^3 level tuples all stay within the shifted target
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 1_331)
+    assert len(list(enumerate_divisors(curve, DivisorKind.XI))) == 6_941
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 1_330)
+    for listing in (
+        lambda: enumerate_divisors(curve, DivisorKind.XI),
+        lambda: enumerate_divisors(curve, DivisorKind.XI, avoid=0),
+    ):
+        with pytest.raises(DivisorError, match="stored level tuples"):
+            list(listing())
+    # 28 of them pass the degree-g target and are never stored
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 1_303)
+    assert len(list(enumerate_divisors(curve, DivisorKind.DELTA))) == 1_716
+    monkeypatch.setattr(divisors, "STATE_BUDGET", 1_302)
+    with pytest.raises(DivisorError, match="stored level tuples"):
+        list(enumerate_divisors(curve, DivisorKind.DELTA))
+
+
 def test_enumeration_empty_for_gdt_curve():
     curve = CurveSpec.from_alphas(17, [1, 2, 14])
     assert list(enumerate_cardinality_matrices(curve, DivisorKind.DELTA)) == []
@@ -429,6 +487,16 @@ def test_divisors_are_value_objects():
     assert a == b and hash(a) == hash(b)
     assert a != LeveledDivisor(curve, (0, 1, 2), DivisorKind.DELTA)
     assert sorted([(2, 1, 0), (0, 1, 2)]) == [(0, 1, 2), (2, 1, 0)]
+
+
+def test_divisor_from_a_list_of_levels_is_a_value_object():
+    curve = three_point_curve(5)
+    from_list = LeveledDivisor(curve, [0, 1, 2], DivisorKind.XI)
+    from_tuple = LeveledDivisor(curve, (0, 1, 2), DivisorKind.XI)
+    assert from_list.levels == (0, 1, 2)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    with pytest.raises(DivisorError, match="sequence"):
+        LeveledDivisor(curve, 7, DivisorKind.XI)
 
 
 def test_level_bounds_enforced():

@@ -23,6 +23,8 @@ from thomae import (
     satisfies_conditions,
     t_hat_admissible,
 )
+from thomae import orbits
+from thomae.operators import _partners, _reflect, _rotate, _swap_hat, _tables
 from thomae.orbits import Edge, FamilySpec
 
 
@@ -117,6 +119,80 @@ def test_m_orbits_are_free(small_battery):
                 graph.vertex_id(apply_M(start, k)) for k in range(curve.n)
             )
         assert len(graph.m_orbits()) * curve.n == len(graph.vertices)
+
+
+def full_components(curve, reflection=True):
+    """Vertex ids of each component of the operator graph, found by a search
+    over every vertex with the kernels, in order of least member."""
+    t = _tables(curve.n, curve.alphas)
+    verts = [d.levels for d in enumerate_divisors(curve, DivisorKind.XI)]
+    index = {v: i for i, v in enumerate(verts)}
+
+    def neighbours(v):
+        yield _rotate(t, v, 1)
+        yield _rotate(t, v, -1)
+        if reflection:
+            yield _reflect(t, v)
+        for q in range(curve.point_count):
+            for r in _partners(t, v, q):
+                yield _swap_hat(t, v, q, r)
+
+    parts, seen = [], set()
+    for v in verts:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, part = [v], [index[v]]
+        while stack:
+            for w in neighbours(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    part.append(index[w])
+        parts.append(sorted(part))
+    return parts
+
+
+@pytest.mark.parametrize(
+    "n,alphas,sizes",
+    [
+        (7, [1, 1, 2, 2, 4, 4], [7, 560]),
+        (7, [4, 2, 1, 4, 2, 1], [7, 560]),  # point 0 outside class 1
+        (9, [1, 1, 1, 1, 5], [72, 72, 72]),
+        (11, [1, 1, 4, 8, 8], [22, 22]),
+        (11, [1, 1, 1, 2, 2, 4], [44, 44, 44, 792]),
+    ],
+)
+def test_split_graphs(n, alphas, sizes):
+    """Curves whose operator graph is not connected: the components from the
+    M-orbit representatives are those of a search over the whole graph."""
+    curve = CurveSpec.from_alphas(n, alphas)
+    graph = build_graph(curve)
+    assert graph.component_sizes() == sizes
+    assert graph.components() == full_components(curve)
+    assert sorted(map(len, graph.components())) == sizes
+
+
+def test_quotient_matches_full_graph_on_full_battery(full_battery, monkeypatch):
+    """Components, sizes and the report's counts from the representatives agree
+    with the whole graph, also with the N edges removed (with them every
+    battery graph is connected; without them 10 of the 104 split in two)."""
+    split = []
+    for curve in full_battery:
+        graph = build_graph(curve)
+        assert graph.vertex_count == len(graph.vertices)
+        assert graph.edge_count == len(graph.edges)
+        assert len(graph.reps) == len(graph.m_orbits())
+        assert graph.components() == full_components(curve)
+        assert graph.component_sizes() == sorted(map(len, graph.components()))
+        assert len(graph.parts) <= 1
+    # an N that fixes every vertex adds only loops to the representatives' graph
+    monkeypatch.setattr(orbits, "_reflect", lambda t, levels: levels)
+    for curve in full_battery:
+        graph = build_graph(curve)
+        assert graph.components() == full_components(curve, reflection=False)
+        split.append(len(graph.parts))
+    assert len(split) == 104 and split.count(2) == 10 and split.count(1) == 94
 
 
 @pytest.mark.parametrize(
