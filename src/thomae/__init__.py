@@ -38,7 +38,6 @@ from .divisors import (
     DivisorKind,
     LeveledDivisor,
     brute_force_divisors,
-    contains_nth_power,
     count_base_point_free,
     count_divisors,
     divisor_from_exponents,

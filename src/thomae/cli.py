@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .curve import CurveError, CurveSpec, is_int, load_curve
+from .curve import CurveError, CurveSpec, load_curve
 from .denominators import (
     EvalMode,
     degree,
@@ -104,12 +104,13 @@ def _load_divisor(path: str, curve: CurveSpec) -> LeveledDivisor:
         data = json.load(fh)
     try:
         kind = DivisorKind(data["kind"])
-        levels = tuple(data["levels"])
+        levels = data["levels"]
     except (KeyError, ValueError, TypeError) as exc:
         raise DivisorError(f"{path}: divisor document needs 'kind' and 'levels'") from exc
-    if len(levels) != curve.point_count or not all(is_int(l) for l in levels):
-        raise DivisorError(f"{path}: need one integer level per branch point")
-    return LeveledDivisor(curve, levels, kind)
+    try:
+        return LeveledDivisor(curve, levels, kind)
+    except DivisorError as exc:
+        raise DivisorError(f"{path}: {exc}") from None
 
 
 def _divisor_dict(div: LeveledDivisor) -> dict:
@@ -121,7 +122,6 @@ def _divisor_dict(div: LeveledDivisor) -> dict:
 
 def _cmd_enumerate(args) -> int:
     curve = load_curve(args.curve)
-    curve.require_valid()
     kind = DivisorKind(args.kind)
     report = _report_meta({"curve": args.curve})
     if args.count_only:
@@ -137,7 +137,7 @@ def _cmd_enumerate(args) -> int:
 
 def _parse_ints(text: str, sep: str, count: int, what: str) -> list[int]:
     """Exactly ``count`` integers separated by ``sep``, or a DivisorError naming ``what``."""
-    parts = text.split(sep)
+    parts = text.split(sep) if text else []
     try:
         if len(parts) == count:
             return [int(p) for p in parts]
@@ -146,31 +146,35 @@ def _parse_ints(text: str, sep: str, count: int, what: str) -> list[int]:
     raise DivisorError(f"cannot parse {what}")
 
 
-def _parse_op(spec: str):
+def _parse_call(spec: str, table: dict, what: str):
+    """``NAME`` or ``NAME:I,J,..`` as a function from ``table`` and its integer arguments."""
     name, _, arg = spec.partition(":")
-    if name == "N" and not arg:
-        return ("N",)
-    if name in ("Nbeta", "M"):
-        return (name, *_parse_ints(arg, ",", 1, f"operator {spec!r}"))
-    if name in ("T", "That"):
-        return (name, *_parse_ints(arg, ",", 2, f"operator {spec!r}"))
-    raise DivisorError(f"cannot parse operator {spec!r}")
+    if name not in table:
+        raise DivisorError(f"cannot parse {what}")
+    function, arity = table[name]
+    return function, _parse_ints(arg, ",", arity, what)
+
+
+# the --op and --which names: name -> (function, number of integer arguments)
+_OPERATORS = {
+    "N": (apply_N, 0),
+    "Nbeta": (apply_N_beta, 1),
+    "M": (apply_M, 1),
+    "T": (apply_T, 2),
+    "That": (apply_T_hat, 2),
+}
+_DENOMINATORS = {
+    "h": (full_denominator, 0),
+    "g": (pmt_denominator, 1),
+    "q": (pmt_gamma_denominator, 2),
+}
 
 
 def _cmd_apply(args) -> int:
-    curve = load_curve(args.curve).require_valid()
+    curve = load_curve(args.curve)
     div = _load_divisor(args.divisor, curve)
-    op = _parse_op(args.op)
-    if op[0] == "N":
-        image = apply_N(div)
-    elif op[0] == "Nbeta":
-        image = apply_N_beta(div, op[1])
-    elif op[0] == "M":
-        image = apply_M(div, op[1])
-    elif op[0] == "T":
-        image = apply_T(div, op[1], op[2])
-    else:
-        image = apply_T_hat(div, op[1], op[2])
+    operator, ints = _parse_call(args.op, _OPERATORS, f"operator {args.op!r}")
+    image = operator(div, *ints)
     report = _report_meta({"curve": args.curve, "divisor": args.divisor})
     report["op"] = args.op
     report["result"] = _divisor_dict(image)
@@ -193,19 +197,11 @@ def _cmd_ftable(args) -> int:
 
 
 def _cmd_denominator(args) -> int:
-    curve = load_curve(args.curve).require_valid()
+    curve = load_curve(args.curve)
     div = _load_divisor(args.divisor, curve)
     which = args.which
-    if which == "h":
-        matrix = full_denominator(div)
-    elif which.startswith("g:"):
-        (beta,) = _parse_ints(which[2:], ",", 1, f"--which {which!r}")
-        matrix = pmt_denominator(div, beta)
-    elif which.startswith("q:"):
-        q_id, gamma = _parse_ints(which[2:], ",", 2, f"--which {which!r}")
-        matrix = pmt_gamma_denominator(div, q_id, gamma)
-    else:
-        raise DivisorError(f"cannot parse --which {which!r}")
+    build, ints = _parse_call(which, _DENOMINATORS, f"--which {which!r}")
+    matrix = build(div, *ints)
     if args.reduce:
         matrix = reduce_matrix(matrix)
     report = _report_meta({"curve": args.curve, "divisor": args.divisor})
@@ -223,7 +219,7 @@ def _cmd_denominator(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    curve = load_curve(args.curve).require_valid()
+    curve = load_curve(args.curve)
     graph = build_graph(curve, max_vertices=args.max_vertices)
     sizes = graph.component_sizes()
     report = _report_meta({"curve": args.curve})
@@ -285,7 +281,7 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    curve = load_curve(args.curve).require_valid()
+    curve = load_curve(args.curve)
     if curve.n > args.max_n:
         raise DivisorError(f"curve has n = {curve.n} above --max-n = {args.max_n}")
     checks = None if args.suite == "all" else args.suite.split(",")

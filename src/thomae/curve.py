@@ -232,9 +232,6 @@ def curve_from_dict(data: dict) -> CurveSpec:
         if label is not None and not isinstance(label, str):
             raise CurveError(f"point {i}: label must be a string")
         pts.append(BranchPoint(i, alpha, label, lam))
-    lams = [p.lam for p in pts]
-    if any(v is not None for v in lams) and any(v is None for v in lams):
-        raise CurveError("either all points carry a z-value or none do")
     return CurveSpec(n, tuple(pts)).require_valid()
 
 

@@ -113,16 +113,17 @@ class ExponentMatrix:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __sub__(self, other: "ExponentMatrix") -> "ExponentMatrix":
-        return matrix_quotient(self, other)
-
-    def __add__(self, other: "ExponentMatrix") -> "ExponentMatrix":
+    def _combine(self, other: "ExponentMatrix", sign: int) -> "ExponentMatrix":
+        """self plus sign times other, entrywise."""
         if self.curve != other.curve:
             raise DivisorError("matrices live on different curves")
         out = dict(self._entries)
         for k, v in other._entries.items():
-            out[k] = out.get(k, 0) + v
+            out[k] = out.get(k, 0) + sign * v
         return ExponentMatrix._normalised(self.curve, out)
+
+    def __add__(self, other: "ExponentMatrix") -> "ExponentMatrix":
+        return self._combine(other, 1)
 
     def degree_units(self) -> int:
         return sum(self._entries.values())
@@ -133,12 +134,7 @@ class ExponentMatrix:
 
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Entrywise difference; negative exponents are fine (formal quotients)."""
-    if a.curve != b.curve:
-        raise DivisorError("matrices live on different curves")
-    out = dict(a._entries)
-    for k, v in b._entries.items():
-        out[k] = out.get(k, 0) - v
-    return ExponentMatrix._normalised(a.curve, out)
+    return a._combine(b, -1)
 
 
 def degree(matrix: ExponentMatrix) -> int:

@@ -105,12 +105,6 @@ class LeveledDivisor:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def condition_lhs(divisor: LeveledDivisor, k: int) -> int:
-    """Number of points whose level lies below alpha * k mod n."""
-    thr = divisor.curve.thresholds[k - 1]
-    return sum(1 for l, t in zip(divisor.levels, thr) if l < t)
-
-
 def _meets(spec: CurveSpec, levels: tuple[int, ...], shift: int) -> bool:
     """For every k, exactly t_k - shift of the levels lie below alpha * k mod n."""
     contrib, targets = spec.packed
@@ -129,14 +123,11 @@ def specialty_index(divisor: LeveledDivisor) -> int:
     the dimension of the space of holomorphic differentials that are
     multiples of the divisor.
     """
-    spec = divisor.curve
+    spec, levels = divisor.curve, divisor.levels
     return sum(
-        max(spec.t_value(k) - 1 - condition_lhs(divisor, k), 0) for k in range(1, spec.n)
+        max(spec.t_value(k) - 1 - sum(map(lt, levels, thr)), 0)
+        for k, thr in enumerate(spec.thresholds, 1)
     )
-
-
-def contains_nth_power(curve: CurveSpec, exponents: tuple[int, ...]) -> bool:
-    return any(v >= curve.n for v in exponents)
 
 
 def divisor_from_exponents(
@@ -144,7 +135,7 @@ def divisor_from_exponents(
 ) -> LeveledDivisor:
     """Levels from raw exponents; exponents of n or more are rejected outright
     (reducing them is a linear-equivalence step this type does not perform)."""
-    if contains_nth_power(curve, exponents):
+    if any(v >= curve.n for v in exponents):
         raise DivisorError(
             f"exponent {max(exponents)} >= n = {curve.n}; reduce the divisor first"
         )

@@ -238,27 +238,9 @@ class GroupElement:
         object.__setattr__(self, "shift", self.shift % self.n)
 
     @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(n, 0, False)
-
-    @classmethod
-    def rotation(cls, n: int, k: int = 1) -> "GroupElement":
-        return cls(n, k, False)
-
-    @classmethod
-    def reflection(cls, n: int) -> "GroupElement":
-        return cls(n, 0, True)
-
-    @classmethod
     def negation(cls, n: int, beta: int) -> "GroupElement":
         """The group element acting like apply_N_beta."""
         return cls(n, -k_inverse(beta, n), True)
-
-    @classmethod
-    def double_reflection(cls, n: int, beta: int) -> "GroupElement":
-        """The reflection sending each level l to b_{beta,alpha}(l); composing
-        it with apply_T for a base point of class beta gives apply_T_hat."""
-        return cls(n, -2 * k_inverse(beta, n), True)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self after other, by the dihedral rules M^n = 1, N^2 = 1, M N = N M^{-1}."""
@@ -283,10 +265,3 @@ def apply_group(xi: LeveledDivisor, g: GroupElement) -> LeveledDivisor:
     if g.n != xi.curve.n:
         raise DivisorError("group element has the wrong modulus")
     return _image(xi, _group(_tables_of(xi), xi.levels, g))
-
-
-def group_elements(n: int) -> list[GroupElement]:
-    """All 2n elements, rotations first."""
-    return [GroupElement(n, j, False) for j in range(n)] + [
-        GroupElement(n, j, True) for j in range(n)
-    ]

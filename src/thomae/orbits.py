@@ -10,8 +10,9 @@ exponents [1, 1, 2, 2, 4, 4] splits into parts of 7 and 560 divisors.
 M commutes with every simplified swap and N maps M-orbits onto M-orbits,
 so every component is a union of M-orbits, and each M-orbit has exactly one
 member with point 0 at level 0.  The graph is therefore built on those
-representatives alone; its vertices, adjacency list and edges are expanded
-only when read.
+representatives alone.  Every walk over it, on representatives or on full
+vertices, reads one labelled out-edge generator; the vertex list and the
+edges are expanded only when read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .curve import CurveSpec, is_int, k_inverse
 from .divisors import (
@@ -62,11 +63,9 @@ def _search(start, neighbours, goal=None) -> dict:
 class OrbitGraph:
     """The operator graph, held as its M-orbit representatives.
 
-    reps are the vertices with point 0 at level 0, ascending.  The full
-    vertex list (ascending level tuples), the adjacency list and the edges
-    are built when first read.  adjacency[i] holds vertex i's out-edges as
-    (target, label) pairs in a fixed order: M, M^-1, N, then every
-    simplified swap "That:q,r" in ascending (q, r) order.
+    reps are the vertices with point 0 at level 0, ascending.  Every walk
+    generates out-edges on demand through ``_out``.  The full vertex list
+    (ascending level tuples) and the edges are built when read.
     """
 
     curve: CurveSpec
@@ -76,6 +75,22 @@ class OrbitGraph:
     def _t(self):
         return _tables(self.curve.n, self.curve.alphas)
 
+    @cached_property
+    def _swap_labels(self) -> list[list[str]]:
+        npts = self.curve.point_count
+        return [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
+
+    def _out(self, levels: tuple) -> Iterator[tuple[tuple, str]]:
+        """The out-edges of ``levels`` as (image, label), in a fixed order:
+        M, M^-1, N, then every simplified swap "That:q,r" in ascending (q, r)."""
+        t, labels = self._t, self._swap_labels
+        yield _rotate(t, levels, 1), "M"
+        yield _rotate(t, levels, -1), "M^-1"
+        yield _reflect(t, levels), "N"
+        for q in range(self.curve.point_count):
+            for r in _partners(t, levels, q):
+                yield _swap_hat(t, levels, q, r), labels[q][r]
+
     def _rep(self, levels: tuple) -> tuple:
         """The member of the M-orbit of ``levels`` with point 0 at level 0."""
         return _rotate(self._t, levels, levels[0] * k_inverse(self.curve.alphas[0], self.curve.n))
@@ -83,13 +98,9 @@ class OrbitGraph:
     @cached_property
     def parts(self) -> list[list[tuple]]:
         """The components as lists of representatives, each in ascending order."""
-        t, npts = self._t, self.curve.point_count
 
         def neighbours(v):  # the M edges are loops here
-            yield self._rep(_reflect(t, v)), None
-            for q in range(npts):
-                for r in _partners(t, v, q):
-                    yield self._rep(_swap_hat(t, v, q, r)), None
+            return ((self._rep(w), label) for w, label in self._out(v))
 
         parts, seen = [], set()
         for rep in self.reps:
@@ -107,10 +118,7 @@ class OrbitGraph:
     def edge_count(self) -> int:
         """n times the out-degrees of the representatives; T-hat partner
         counts are constant along an M-orbit."""
-        t, npts = self._t, self.curve.point_count
-        return self.curve.n * sum(
-            3 + sum(len(_partners(t, v, q)) for q in range(npts)) for v in self.reps
-        )
+        return self.curve.n * sum(1 for v in self.reps for _ in self._out(v))
 
     def component_sizes(self) -> list[int]:
         return sorted(self.curve.n * len(part) for part in self.parts)
@@ -123,23 +131,11 @@ class OrbitGraph:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {v.levels: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def adjacency(self) -> list[list[tuple[int, str]]]:
-        t, index, npts = self._t, self._index, self.curve.point_count
-        swap_labels = [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
-        adjacency = []
-        for v in index:  # the level tuples, in vertex order
-            images = [(_rotate(t, v, 1), "M"), (_rotate(t, v, -1), "M^-1"), (_reflect(t, v), "N")]
-            for q in range(npts):
-                images += [(_swap_hat(t, v, q, r), swap_labels[q][r]) for r in _partners(t, v, q)]
-            adjacency.append([(index[w], label) for w, label in images])
-        return adjacency
-
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """Every edge in adjacency order, built afresh on each access."""
-        pairs = enumerate(self.adjacency)
-        return tuple(Edge(i, t, label) for i, out in pairs for t, label in out)
+        """Every edge, by source vertex in ``_out`` order, built afresh on each access."""
+        index, out = self._index, self._out
+        return tuple(Edge(i, index[w], label) for v, i in index.items() for w, label in out(v))
 
     def vertex_id(self, divisor: LeveledDivisor) -> int:
         try:
@@ -162,8 +158,9 @@ class OrbitGraph:
 
     def witness(self, source: LeveledDivisor, target: LeveledDivisor) -> Optional[list[str]]:
         """A word in the edge labels leading from source to target, if any."""
-        s, t = self.vertex_id(source), self.vertex_id(target)
-        parent = _search(s, self.adjacency.__getitem__, t)
+        self.vertex_id(source), self.vertex_id(target)  # refuse non-vertices
+        s, t = source.levels, target.levels
+        parent = _search(s, self._out, t)
         if t not in parent:
             return None
         word = []

@@ -283,6 +283,11 @@ def test_csv_format_counts(capsys, tmp_path):
         ["enumerate", "--curve", "@bool_alpha_curve", "--count-only"],
         ["apply", "--divisor", "@bool_level_divisor", "--op", "N"],
         ["counts", "--n-range", "5..2"],
+        ["apply", "--op", "N:1"],
+        ["apply", "--op", "X:1"],
+        ["apply", "--op", "T:0"],
+        ["apply", "--divisor", "@short_divisor", "--op", "N"],
+        ["apply", "--divisor", "@string_levels_divisor", "--op", "N"],
     ],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
@@ -292,12 +297,15 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
     )
     divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 1, 2]})
     family = write(tmp_path / "f.json", {"c": [1, 1, 1], "d": [1, 1, 1]})
-    # a float or a JSON boolean (which loads as a Python int) where an integer belongs
+    # a float or a JSON boolean (which loads as a Python int) where an integer belongs,
+    # too few levels, or levels given as a string
     bad_files = {
         "@float_family": {"c": [1.5, 1], "d": [1, 1.5]},
         "@bool_family": {"c": [True, 1], "d": [2]},
         "@bool_alpha_curve": {"n": 7, "points": [{"alpha": True}, {"alpha": 2}, {"alpha": 4}]},
         "@bool_level_divisor": {"kind": "xi", "levels": [0, True, 1]},
+        "@short_divisor": {"kind": "xi", "levels": [0, 1]},
+        "@string_levels_divisor": {"kind": "xi", "levels": "012"},
     }
     inputs = {
         "apply": ["--curve", curve, "--divisor", divisor],

@@ -10,7 +10,6 @@ from thomae import (
     DivisorKind,
     LeveledDivisor,
     brute_force_divisors,
-    contains_nth_power,
     count_base_point_free,
     count_divisors,
     divisor_from_exponents,
@@ -189,7 +188,6 @@ def test_nth_power_divisors_are_special():
 
 def test_divisor_from_exponents_rejects_nth_powers():
     curve = three_point_curve(5)
-    assert contains_nth_power(curve, (5, 0, 0))
     with pytest.raises(DivisorError, match="reduce"):
         divisor_from_exponents(curve, (5, 0, 0), DivisorKind.DELTA)
 

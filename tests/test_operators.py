@@ -36,6 +36,11 @@ def xis(curve):
     return list(enumerate_divisors(curve, DivisorKind.XI))
 
 
+def group_elements(n):
+    """All 2n elements of the dihedral group, rotations first."""
+    return [GroupElement(n, j, reflect) for reflect in (False, True) for j in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # the level involutions
 
@@ -315,8 +320,8 @@ def test_simple_swap_is_reflected_swap_on_base_pointed(small_battery):
             for q in range(curve.point_count):
                 if xi.levels[q] != 0:
                     continue
-                beta = curve.alphas[q]
-                elem = GroupElement.double_reflection(n, beta)
+                # the reflection l -> b_{beta,alpha}(l), for beta the class of Q
+                elem = GroupElement(n, -2 * k_inverse(curve.alphas[q], n), True)
                 for r in range(curve.point_count):
                     if q == r or not t_admissible(xi, q, r):
                         continue
@@ -344,11 +349,9 @@ def test_base_point_representative(small_battery):
 
 def test_group_laws():
     for n in (2, 3, 5, 8):
-        elements = [GroupElement(n, j, False) for j in range(n)] + [
-            GroupElement(n, j, True) for j in range(n)
-        ]
+        elements = group_elements(n)
         assert len(set(elements)) == 2 * n
-        identity = GroupElement.identity(n)
+        identity = GroupElement(n, 0, False)
         for g in elements:
             assert g.compose(identity) == identity.compose(g) == g
             assert g.compose(g.inverse()) == identity
@@ -356,12 +359,12 @@ def test_group_laws():
             for b in elements:
                 for c in elements:
                     assert a.compose(b).compose(c) == a.compose(b.compose(c))
-        m = GroupElement.rotation(n)
+        m = GroupElement(n, 1, False)
         acc = identity
         for _ in range(n):
             acc = m.compose(acc)
         assert acc == identity
-        refl = GroupElement.reflection(n)
+        refl = GroupElement(n, 0, True)
         assert refl.compose(refl) == identity
 
 
@@ -397,8 +400,6 @@ def test_negation_matches_group_element(small_battery):
 
 
 def test_group_orbit_bound(small_battery):
-    from thomae.operators import group_elements
-
     for curve in small_battery[:25]:
         n = curve.n
         for xi in xis(curve)[:6]:
@@ -408,8 +409,6 @@ def test_group_orbit_bound(small_battery):
 
 def test_apply_group_respects_composition():
     curve = CurveSpec.from_alphas(5, [1, 2, 2])
-    from thomae.operators import group_elements
-
     for xi in xis(curve):
         for a in group_elements(5):
             for b in group_elements(5):

@@ -235,6 +235,20 @@ def test_witness_words_replay():
     assert graph.witness(src, src) == []
 
 
+def test_witness_across_split_parts_and_off_the_graph():
+    """On the split curve n = 7, [1, 1, 2, 2, 4, 4], no word joins the 7-vertex
+    part to the 560-vertex part, and a divisor off the graph is refused."""
+    curve = CurveSpec.from_alphas(7, [1, 1, 2, 2, 4, 4])
+    graph = build_graph(curve)
+    small, large, off = (LeveledDivisor(curve, levels, DivisorKind.XI)
+                         for levels in [(0, 0, 4, 4, 5, 5), (0, 1, 4, 6, 2, 5), (0,) * 6])
+    part_size = {i: len(part) for part in graph.components() for i in part}
+    assert [part_size[graph.vertex_id(v)] for v in (small, large)] == [7, 560]
+    assert graph.witness(small, large) is None
+    with pytest.raises(DivisorError, match="is not a vertex"):
+        graph.witness(off, small)
+
+
 def test_relabeling_symmetry():
     # swapping two points of the same class permutes the vertex set
     curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])
