@@ -38,12 +38,13 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from operator import add, sub
+from typing import Mapping, Optional
 
 from .curve import CurveSpec, e_factor, k_inverse
-from .divisors import DivisorError, DivisorKind, LeveledDivisor
+from .divisors import DivisorError, LeveledDivisor
 from .ffunctions import c_constant, f_chain
-from .operators import _Lazy, _negate, _require_swap_pair, _tables
+from .operators import _Lazy, _negate, _require_points, _require_swap_pair, _require_xi, _tables
 
 
 class EvalMode(Enum):
@@ -55,17 +56,18 @@ class ExponentMatrix:
     """Symmetric integer matrix over unordered branch-point pairs.
 
     Entries are unit exponents; the realized power of z(P_i) - z(P_j) is
-    e * n * entry.  Value object: equality is entrywise, zero entries are
-    never stored, instances are immutable.
+    e * n * entry.  Value object: equality is entrywise, instances are
+    immutable.  The entries are held as the kernels' dense tuple, in
+    ``_pairs`` order.
     """
 
-    __slots__ = ("curve", "_entries")
+    __slots__ = ("curve", "_values")
 
     def __init__(self, curve: CurveSpec, entries: Optional[Mapping[tuple[int, int], int]] = None):
         """Entries keyed by point pairs in either order; each unordered pair of
         two distinct points of the curve may be given once."""
         p = curve.point_count
-        clean: dict[tuple[int, int], int] = {}
+        values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
         for (i, j), v in (entries or {}).items():
             if i == j:
@@ -76,57 +78,48 @@ class ExponentMatrix:
             if key in seen:
                 raise DivisorError(f"pair {key} is given twice")
             seen.add(key)
-            if v != 0:
-                clean[key] = v
+            values[_pair_index(p, i, j)] = v
         self.curve = curve
-        self._entries = clean
-
-    @classmethod
-    def _normalised(cls, curve: CurveSpec, entries: dict[tuple[int, int], int]) -> "ExponentMatrix":
-        """The matrix of ``entries`` whose keys are already pairs (i, j) of
-        points of the curve with i < j; only the zero values are dropped."""
-        out = cls.__new__(cls)
-        out.curve = curve
-        out._entries = {k: v for k, v in entries.items() if v}
-        return out
+        self._values = tuple(values)
 
     def unit_exponent(self, i: int, j: int) -> int:
-        return self._entries.get((min(i, j), max(i, j)), 0)
+        p = self.curve.point_count
+        if i == j or not (0 <= i < p and 0 <= j < p):
+            return 0
+        return self._values[_pair_index(p, i, j)]
 
     @property
     def unit_factor(self) -> int:
         return e_factor(self.curve.n) * self.curve.n
 
-    def items(self) -> Iterable[tuple[tuple[int, int], int]]:
-        return sorted(self._entries.items())
+    def items(self) -> list[tuple[tuple[int, int], int]]:
+        """The nonzero entries, in ascending pair order."""
+        return [(pair, v) for pair, v in zip(_pairs(self.curve.point_count), self._values) if v]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExponentMatrix)
             and self.curve == other.curve
-            and self._entries == other._entries
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.curve, tuple(sorted(self._entries.items()))))
+        return hash((self.curve, self._values))
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return any(self._values)
 
-    def _combine(self, other: "ExponentMatrix", sign: int) -> "ExponentMatrix":
-        """self plus sign times other, entrywise."""
+    def _combine(self, other: "ExponentMatrix", op) -> "ExponentMatrix":
+        """op(self, other), entrywise."""
         if self.curve != other.curve:
             raise DivisorError("matrices live on different curves")
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            out[k] = out.get(k, 0) + sign * v
-        return ExponentMatrix._normalised(self.curve, out)
+        return _matrix(self.curve, tuple(map(op, self._values, other._values)))
 
     def __add__(self, other: "ExponentMatrix") -> "ExponentMatrix":
-        return self._combine(other, 1)
+        return self._combine(other, add)
 
     def degree_units(self) -> int:
-        return sum(self._entries.values())
+        return sum(self._values)
 
     def __repr__(self):
         return f"ExponentMatrix({dict(self.items())})"
@@ -134,17 +127,12 @@ class ExponentMatrix:
 
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Entrywise difference; negative exponents are fine (formal quotients)."""
-    return a._combine(b, -1)
+    return a._combine(b, sub)
 
 
 def degree(matrix: ExponentMatrix) -> int:
     """Sum of the full (realized) exponents."""
     return matrix.unit_factor * matrix.degree_units()
-
-
-def _require_xi(xi: LeveledDivisor) -> None:
-    if xi.kind is not DivisorKind.XI:
-        raise DivisorError("denominators are built from divisors of kind XI")
 
 
 def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
@@ -196,8 +184,17 @@ def _pairs(p: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(p), 2))
 
 
+def _pair_index(p: int, i: int, j: int) -> int:
+    """Where the pair of the distinct points i and j, in either order, sits in ``_pairs(p)``."""
+    i, j = min(i, j), max(i, j)
+    return i * (2 * p - i - 3) // 2 + j - 1
+
+
 def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
-    return ExponentMatrix._normalised(curve, dict(zip(_pairs(curve.point_count), values)))
+    """The matrix of a dense tuple in ``_pairs`` order, taken as it is."""
+    out = ExponentMatrix.__new__(ExponentMatrix)
+    out.curve, out._values = curve, values
+    return out
 
 
 def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
@@ -212,19 +209,19 @@ def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
 def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
     """h over the nonempty slots in the order given: each point pair takes the
     exponent of its slot pair, walked from the earlier slot to the later."""
-    n = xi.curve.n
+    n, p = xi.curve.n, xi.curve.point_count
     sets = xi.sets()
     if sorted(slots) != sorted(sets):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
-    entries = {}
+    values = [0] * len(_pairs(p))
     for i, first in enumerate(slots):
         for second in slots[i:]:
             coef = _slot_pair_exponent(n, first, second)
             pairs = (itertools.combinations(sets[first], 2) if first == second
                      else itertools.product(sets[first], sets[second]))
             for x, y in pairs:
-                entries[(min(x, y), max(x, y))] = coef
-    return ExponentMatrix._normalised(xi.curve, entries)
+                values[_pair_index(p, x, y)] = coef
+    return _matrix(xi.curve, tuple(values))
 
 
 def _two_blocks(top: int, a: tuple[int, ...], upper: list, lower: list) -> tuple[int, ...]:
@@ -258,13 +255,13 @@ def _q(curve: CurveSpec, levels: tuple[int, ...], q_id: int, gamma: int) -> tupl
 
 
 def _shift(curve: CurveSpec, levels: tuple[int, ...], q_id: int, r_id: int) -> tuple[int, ...]:
-    top = curve.n - 1
-    entries = {}
-    for p, v in enumerate(_negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])):
-        if p not in (q_id, r_id):
-            entries[(min(q_id, p), max(q_id, p))] = 2 * v - top
-            entries[(min(r_id, p), max(r_id, p))] = top - 2 * v
-    return tuple(entries.get(pair, 0) for pair in _pairs(curve.point_count))
+    top, p = curve.n - 1, curve.point_count
+    out = [0] * len(_pairs(p))
+    for s, v in enumerate(_negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])):
+        if s not in (q_id, r_id):
+            out[_pair_index(p, q_id, s)] = 2 * v - top
+            out[_pair_index(p, r_id, s)] = top - 2 * v
+    return tuple(out)
 
 
 def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
@@ -291,9 +288,8 @@ def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> Exponent
     kept out of the upper leads there as well.
     """
     _require_xi(xi)
+    _require_points(xi, q_id)
     curve = xi.curve
-    if not 0 <= q_id < curve.point_count:
-        raise DivisorError(f"no point with index {q_id}")
     if xi.levels[q_id] != 0:
         raise DivisorError("the base point must sit at level 0")
     if gamma not in curve.classes:
@@ -308,7 +304,6 @@ def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMa
     exponent vectors n-1-a(l) and a(l) on the pairs {Q, P} and {R, P}; their
     difference is this matrix, and h, g and q each change by exactly it.
     """
-    _require_xi(xi)
     _require_swap_pair(xi, q_id, r_id)
     return _matrix(xi.curve, _shift(xi.curve, xi.levels, q_id, r_id))
 
@@ -323,11 +318,9 @@ def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:
     """
     curve = matrix.curve
     by_class: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(curve.point_count):
-        for j in range(i + 1, curve.point_count):
-            ci, cj = curve.alphas[i], curve.alphas[j]
-            key = (min(ci, cj), max(ci, cj))
-            by_class.setdefault(key, []).append((i, j))
+    for i, j in _pairs(curve.point_count):
+        ci, cj = curve.alphas[i], curve.alphas[j]
+        by_class.setdefault((min(ci, cj), max(ci, cj)), []).append((i, j))
     out = {}
     for pairs in by_class.values():
         m = min(matrix.unit_exponent(i, j) for i, j in pairs)

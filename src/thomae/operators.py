@@ -123,7 +123,7 @@ def _image(xi: LeveledDivisor, levels: tuple) -> LeveledDivisor:
 
 def _require_xi(xi: LeveledDivisor) -> None:
     if xi.kind is not DivisorKind.XI:
-        raise DivisorError("operators act on divisors of kind XI")
+        raise DivisorError("need a divisor of kind XI")
 
 
 def _require_points(xi: LeveledDivisor, *points: int) -> None:

@@ -276,22 +276,11 @@ class FamilySpec:
         if any(v < 1 for v in self.c + self.d):
             raise DivisorError("exponents must be positive")
 
-    def alphas(self, n: int) -> Optional[list[int]]:
-        """Exponent classes at level n, or None when the curve degenerates."""
+    def curve(self, n: int) -> Optional[CurveSpec]:
+        """The member curve at level n, or None when it degenerates."""
         if n < 2:
             return None
-        alphas = list(self.c) + [(n - dv) % n for dv in self.d]
-        if len(alphas) < 3:
-            return None
-        if any(not 1 <= a <= n - 1 or gcd(a, n) != 1 for a in alphas):
-            return None
-        return alphas
-
-    def curve(self, n: int) -> Optional[CurveSpec]:
-        alphas = self.alphas(n)
-        if alphas is None:
-            return None
-        spec = CurveSpec.from_alphas(n, alphas)
+        spec = CurveSpec.from_alphas(n, list(self.c) + [(n - dv) % n for dv in self.d])
         return spec if not spec.validate() else None
 
 

@@ -276,6 +276,7 @@ def test_csv_format_counts(capsys, tmp_path):
         ["denominator", "--which", "g:x"],
         ["denominator", "--which", "q:0"],
         ["verify", "--suite", "bogus"],
+        ["verify", "--suite", "operators,operators"],
         ["verify", "--max-vertices", "0"],
         ["enumerate", "--avoid", "9"],
         ["counts", "--family", "@float_family", "--n-range", "2..5"],

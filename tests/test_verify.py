@@ -76,3 +76,16 @@ def test_operators_check_applies_every_admissible_swap(monkeypatch):
                 want["That", xi.levels, q, r] += 1
                 want["That", apply_T_hat(xi, q, r).levels, r, q] += 1
     assert calls == want and sum(want.values()) > 50
+
+
+def test_a_finding_carries_the_name_of_its_check(monkeypatch):
+    """A T̂ that steps twice breaks only the operator identities, and the sweep
+    still runs every check after the one that fails."""
+    orig = verify._swap_hat
+    monkeypatch.setattr(verify, "_swap_hat", lambda t, l, q, r: orig(t, orig(t, l, q, r), q, r))
+    ran, findings = run_suite(CurveSpec.from_alphas(5, [1, 1, 1, 2]))
+    assert findings and {f.check for f in findings} == {"operators"}
+    assert ran == [
+        "genus-sum", "enumeration", "nonspecial-equivalence", "operators", "denominators",
+        "evaluation",
+    ]
