@@ -4,6 +4,12 @@ Every command reads JSON inputs, emits a machine-readable report on stdout
 (json by default, csv or human on request) and reserves stderr for
 diagnostics.  Exit status: 0 on success, 1 for bad input, 2 when a
 verification sweep found an invariant violation.
+
+A command returns its report fields and its csv rows (``None`` flattens the
+report) and writes nothing itself.  ``main`` owns the envelope and the exit
+status: it puts ``version`` and ``inputs`` (the digests of the command's
+``--curve``, ``--divisor`` and ``--family`` files) before the fields, emits
+the report, and turns a refusal into one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .curve import CurveError, CurveSpec, load_curve
@@ -52,14 +59,7 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _report_meta(paths: dict[str, str]) -> dict:
-    return {
-        "version": __version__,
-        "inputs": {name: _digest(path) for name, path in paths.items()},
-    }
-
-
-def _emit(report: dict, fmt: str, csv_rows=None) -> None:
+def _emit(report: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
@@ -120,19 +120,13 @@ def _divisor_dict(div: LeveledDivisor) -> dict:
 # command implementations ----------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     curve = load_curve(args.curve)
     kind = DivisorKind(args.kind)
-    report = _report_meta({"curve": args.curve})
     if args.count_only:
-        report["count"] = count_divisors(curve, kind, avoid=args.avoid)
-        _emit(report, args.format)
-        return 0
+        return {"count": count_divisors(curve, kind, avoid=args.avoid)}, None
     divisors = [_divisor_dict(div) for div in enumerate_divisors(curve, kind, avoid=args.avoid)]
-    report["count"] = len(divisors)
-    report["divisors"] = divisors
-    _emit(report, args.format, csv_rows=[d["levels"] for d in divisors])
-    return 0
+    return {"count": len(divisors), "divisors": divisors}, [d["levels"] for d in divisors]
 
 
 def _parse_ints(text: str, sep: str, count: int, what: str) -> list[int]:
@@ -170,76 +164,57 @@ _DENOMINATORS = {
 }
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     curve = load_curve(args.curve)
     div = _load_divisor(args.divisor, curve)
     operator, ints = _parse_call(args.op, _OPERATORS, f"operator {args.op!r}")
     image = operator(div, *ints)
-    report = _report_meta({"curve": args.curve, "divisor": args.divisor})
-    report["op"] = args.op
-    report["result"] = _divisor_dict(image)
-    _emit(report, args.format, csv_rows=[list(image.levels)])
-    return 0
+    return {"op": args.op, "result": _divisor_dict(image)}, [list(image.levels)]
 
 
-def _cmd_ftable(args) -> int:
+def _cmd_ftable(args):
     table = f_chain(args.n, args.d)
-    if args.format == "csv":
-        sys.stdout.write(";".join(f"{l},{v}" for l, v in enumerate(table.values)) + "\n")
-        sys.stdout.write(f"c={table.cmax}\n")
-        return 0
-    report = _report_meta({})
-    report.update(
-        {"n": table.n, "d": table.d, "values": list(table.values), "c": table.cmax}
-    )
-    _emit(report, args.format)
-    return 0
+    fields = {"n": table.n, "d": table.d, "values": list(table.values), "c": table.cmax}
+    chain = ";".join(f"{l},{v}" for l, v in enumerate(table.values))
+    return fields, [[chain], [f"c={table.cmax}"]]
 
 
-def _cmd_denominator(args) -> int:
+def _cmd_denominator(args):
     curve = load_curve(args.curve)
     div = _load_divisor(args.divisor, curve)
-    which = args.which
-    build, ints = _parse_call(which, _DENOMINATORS, f"--which {which!r}")
+    build, ints = _parse_call(args.which, _DENOMINATORS, f"--which {args.which!r}")
     matrix = build(div, *ints)
     if args.reduce:
         matrix = reduce_matrix(matrix)
-    report = _report_meta({"curve": args.curve, "divisor": args.divisor})
-    report["which"] = which
-    report["denominator"] = matrix_to_dict(matrix)
-    report["degree"] = degree(matrix)
+    pairs = matrix_to_dict(matrix)
+    fields = {"which": args.which, "denominator": pairs, "degree": degree(matrix)}
     if args.evaluate == "exact":
-        report["value"] = str(evaluate(matrix, EvalMode.EXACT_RATIONAL))
+        fields["value"] = str(evaluate(matrix, EvalMode.EXACT_RATIONAL))
     elif args.evaluate == "log":
         logmag, sign = evaluate(matrix, EvalMode.LOG_ABS)
-        report["value"] = {"log_abs": logmag, "sign": sign}
-    csv_rows = [[p["i"], p["j"], p["exp_unit"]] for p in report["denominator"]["pairs"]]
-    _emit(report, args.format, csv_rows=csv_rows)
-    return 0
+        fields["value"] = {"log_abs": logmag, "sign": sign}
+    return fields, [[p["i"], p["j"], p["exp_unit"]] for p in pairs["pairs"]]
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args):
     curve = load_curve(args.curve)
     graph = build_graph(curve, max_vertices=args.max_vertices)
     sizes = graph.component_sizes()
-    report = _report_meta({"curve": args.curve})
-    report.update(
-        vertices=graph.vertex_count,
-        edges=graph.edge_count,
-        components=len(sizes),
-        component_sizes=sizes,
-        m_orbits=len(graph.reps),
-    )
+    fields = {
+        "vertices": graph.vertex_count,
+        "edges": graph.edge_count,
+        "components": len(sizes),
+        "component_sizes": sizes,
+        "m_orbits": len(graph.reps),
+    }
     if args.witness:
-        src = _load_divisor(args.witness[0], curve)
-        dst = _load_divisor(args.witness[1], curve)
-        word = graph.witness(src, dst)
-        report["witness"] = {"found": word is not None, "word": word}
-    _emit(report, args.format)
-    return 0
+        source, target = (_load_divisor(path, curve) for path in args.witness)
+        word = graph.witness(source, target)
+        fields["witness"] = {"found": word is not None, "word": word}
+    return fields, None
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args):
     with open(args.family, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -249,51 +224,24 @@ def _cmd_counts(args) -> int:
     lo, hi = _parse_ints(args.n_range, "..", 2, f"--n-range {args.n_range!r}")
     if hi < lo:
         raise DivisorError(f"--n-range {args.n_range!r} runs backwards")
-    n_values = list(range(lo, hi + 1))
-    report_obj = count_family(family, n_values, fit=args.fit)
-    report = _report_meta({"family": args.family})
-    report["family"] = {"c": list(family.c), "d": list(family.d)}
-    report["counts"] = [
-        {
-            "n": c.n,
-            "skipped": c.skipped,
-            "total_divisors": c.total_divisors,
-            "xi_divisors": c.xi_divisors,
-            "m_orbits": c.m_orbits,
-            "base_point_free_xi": c.base_point_free_xi,
-            "per_point_avoid": list(c.per_point_avoid),
+    report = count_family(family, range(lo, hi + 1), fit=args.fit)
+    counts = [{**asdict(c), "per_point_avoid": list(c.per_point_avoid)} for c in report.counts]
+    fields = {"family": {"c": list(family.c), "d": list(family.d)}, "counts": counts}
+    if report.fit:
+        fields["fit"] = {
+            name: {"coefficients": list(map(str, coeffs)), "residuals": list(map(str, residuals))}
+            for name, (coeffs, residuals) in report.fit.items()
         }
-        for c in report_obj.counts
-    ]
-    if report_obj.fit:
-        report["fit"] = {
-            name: {
-                "coefficients": [str(c) for c in coeffs],
-                "residuals": [str(r) for r in residuals],
-            }
-            for name, (coeffs, residuals) in report_obj.fit.items()
-        }
-    csv_rows = [
-        [c.n, c.total_divisors, c.m_orbits] for c in report_obj.counts if not c.skipped
-    ]
-    _emit(report, args.format, csv_rows=csv_rows)
-    return 0
+    return fields, [[c.n, c.total_divisors, c.m_orbits] for c in report.valid_counts()]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     curve = load_curve(args.curve)
     if curve.n > args.max_n:
         raise DivisorError(f"curve has n = {curve.n} above --max-n = {args.max_n}")
     checks = None if args.suite == "all" else args.suite.split(",")
-    ran, findings = run_suite(
-        curve, checks, max_vertices=args.max_vertices, seed=args.seed
-    )
-    report = _report_meta({"curve": args.curve})
-    report["checks"] = ran
-    report["findings"] = [{"check": f.check, "reproducer": f.reproducer} for f in findings]
-    report["ok"] = not findings
-    _emit(report, args.format)
-    return INVARIANT_VIOLATION if findings else 0
+    ran, findings = run_suite(curve, checks, max_vertices=args.max_vertices, seed=args.seed)
+    return {"checks": ran, "findings": [asdict(f) for f in findings], "ok": not findings}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,73 +252,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "human"), default="json")
+    def command(name, func, help, *inputs):
+        """A subcommand whose required input-file flags ``inputs`` are digested."""
+        p = sub.add_parser(name, help=help)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
+        p.set_defaults(func=func, inputs=inputs)
+        return p
 
-    p = sub.add_parser("enumerate", help="list or count the valid divisors of a curve")
-    p.add_argument("--curve", required=True)
+    p = command("enumerate", _cmd_enumerate, "list or count the valid divisors of a curve",
+                "curve")
     p.add_argument("--kind", choices=("delta", "xi"), default="xi")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--avoid", type=int, default=None, metavar="ID")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("apply", help="apply an operator to a divisor")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--divisor", required=True)
+    p = command("apply", _cmd_apply, "apply an operator to a divisor", "curve", "divisor")
     p.add_argument("--op", required=True, help="Nbeta:B | M:K | T:Q,R | That:Q,R | N")
-    common(p)
-    p.set_defaults(func=_cmd_apply)
 
-    p = sub.add_parser("ftable", help="print one exponent-function table")
+    p = command("ftable", _cmd_ftable, "print one exponent-function table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_ftable)
 
-    p = sub.add_parser("denominator", help="build a symbolic denominator")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--divisor", required=True)
+    p = command("denominator", _cmd_denominator, "build a symbolic denominator",
+                "curve", "divisor")
     p.add_argument("--which", default="h", help="h | g:BETA | q:Q,GAMMA")
     p.add_argument("--evaluate", choices=("exact", "log"), default=None)
     p.add_argument("--reduce", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_denominator)
 
-    p = sub.add_parser("orbits", help="build the operator graph and its components")
-    p.add_argument("--curve", required=True)
+    p = command("orbits", _cmd_orbits, "build the operator graph and its components", "curve")
     p.add_argument("--witness", nargs=2, metavar=("FROM", "TO"))
     p.add_argument("--max-vertices", type=int, default=100000)
-    common(p)
-    p.set_defaults(func=_cmd_orbits)
 
-    p = sub.add_parser("counts", help="sweep a family of curves over n")
-    p.add_argument("--family", required=True)
+    p = command("counts", _cmd_counts, "sweep a family of curves over n", "family")
     p.add_argument("--n-range", required=True, metavar="A..B")
     p.add_argument("--fit", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_counts)
 
-    p = sub.add_parser("verify", help="run the identity sweep on one curve")
-    p.add_argument("--curve", required=True)
+    p = command("verify", _cmd_verify, "run the identity sweep on one curve", "curve")
     p.add_argument("--suite", default="all")
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--max-vertices", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():  # last, so --format closes every usage line
+        p.add_argument("--format", choices=("json", "csv", "human"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        fields, csv_rows = args.func(args)
+        inputs = {name: _digest(getattr(args, name)) for name in args.inputs}
+        _emit({"version": __version__, "inputs": inputs, **fields}, args.format, csv_rows)
     except (CurveError, DivisorError, FFunctionError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_ERROR
+    return INVARIANT_VIOLATION if fields.get("findings") else 0
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Mapping, Optional
 
-from .curve import CurveSpec, e_factor, k_inverse
+from .curve import CurveSpec, e_factor, is_int, k_inverse
 from .divisors import DivisorError, LeveledDivisor
 from .ffunctions import c_constant, f_chain
 from .operators import _Lazy, _negate, _require_points, _require_swap_pair, _require_xi, _tables
@@ -78,6 +78,8 @@ class ExponentMatrix:
             if key in seen:
                 raise DivisorError(f"pair {key} is given twice")
             seen.add(key)
+            if not is_int(v):
+                raise DivisorError(f"pair {key} has exponent {v!r}, not an integer")
             values[_pair_index(p, i, j)] = v
         self.curve = curve
         self._values = tuple(values)

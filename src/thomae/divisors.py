@@ -60,6 +60,8 @@ class LeveledDivisor:
     kind: DivisorKind
 
     def __post_init__(self):
+        if not isinstance(self.kind, DivisorKind):
+            raise DivisorError(f"kind must be a DivisorKind, got {self.kind!r}")
         n = self.curve.n
         try:
             levels = tuple(self.levels)

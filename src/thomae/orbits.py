@@ -138,10 +138,11 @@ class OrbitGraph:
         return tuple(Edge(i, index[w], label) for v, i in index.items() for w, label in out(v))
 
     def vertex_id(self, divisor: LeveledDivisor) -> int:
-        try:
-            return self._index[divisor.levels]
-        except KeyError:
-            raise DivisorError(f"divisor {divisor.levels} is not a vertex") from None
+        """The id of an XI divisor of this graph's curve; any other is refused."""
+        if divisor.curve == self.curve and divisor.kind is DivisorKind.XI:
+            if divisor.levels in self._index:
+                return self._index[divisor.levels]
+        raise DivisorError(f"divisor {divisor.levels} is not a vertex")
 
     def _ids(self, reps) -> list[int]:
         """The ascending vertex ids of the M-orbits of ``reps``."""

@@ -1,8 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from thomae import divisors
+from thomae import __version__, divisors
 from thomae.cli import main
 
 
@@ -54,6 +56,36 @@ def test_ftable_json(capsys):
     assert doc["values"] == [0, 2, 0, 4, 4]
     assert doc["c"] == 4
     assert doc["version"]
+
+
+@pytest.mark.parametrize(
+    "command", ["enumerate", "apply", "ftable", "denominator", "orbits", "counts", "verify"]
+)
+def test_report_opens_with_version_and_input_digests(capsys, tmp_path, command):
+    """Every json report starts with ``version`` and ``inputs``, the digests of
+    exactly the --curve, --divisor and --family files (not the --witness ones)."""
+    curve = write(tmp_path / "c.json", {"n": 5, "points": [{"alpha": a} for a in (1, 2, 2)]})
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 2, 4]})
+    other = write(tmp_path / "e.json", {"kind": "xi", "levels": [4, 2, 0]})
+    family = write(tmp_path / "f.json", {"c": [1, 1], "d": [1, 1]})
+    argv, files = {
+        "enumerate": (["--curve", curve], {"curve": curve}),
+        "apply": (["--curve", curve, "--divisor", divisor, "--op", "N"],
+                  {"curve": curve, "divisor": divisor}),
+        "ftable": (["--n", "5", "--d", "2"], {}),
+        "denominator": (["--curve", curve, "--divisor", divisor],
+                        {"curve": curve, "divisor": divisor}),
+        "orbits": (["--curve", curve, "--witness", divisor, other], {"curve": curve}),
+        "counts": (["--family", family, "--n-range", "2..5"], {"family": family}),
+        "verify": (["--curve", curve, "--suite", "genus-sum"], {"curve": curve}),
+    }[command]
+    code, out, _ = run(capsys, command, *argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc)[:2] == ["version", "inputs"] and doc["version"] == __version__
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+               for name, path in files.items()}
+    assert doc["inputs"] == digests
 
 
 def test_enumerate_count_only(capsys, m3_curve):

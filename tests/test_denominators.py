@@ -339,8 +339,13 @@ def test_matrix_rejects_diagonal():
         ({(0, 7): 2}, "outside 0..2"),  # would fail only in evaluate
         ({(0, 1): 2, (1, 0): 3}, "given twice"),  # would keep the last value
         ({(0, 1): 0, (1, 0): 3}, "given twice"),
+        ({(0, 1): 0.5}, "not an integer"),  # matrix_to_dict would emit the float
+        ({(0, 1): 2.0}, "not an integer"),
+        ({(1, 2): "x"}, "not an integer"),
+        ({(0, 2): True}, "not an integer"),
     ],
-    ids=["negative-index", "index-past-last-point", "pair-twice", "pair-twice-first-zero"],
+    ids=["negative-index", "index-past-last-point", "pair-twice", "pair-twice-first-zero",
+         "float-exponent", "integral-float-exponent", "string-exponent", "bool-exponent"],
 )
 def test_matrix_rejects_malformed_pairs(entries, message):
     curve = CurveSpec.from_alphas(3, [1, 1, 1])

@@ -218,8 +218,9 @@ def test_operators_reject_bad_point_indices(operator, args):
         lambda curve, xi: GroupElement(0, 1, False),
         lambda curve, xi: GroupElement(1, 0, False),
         lambda curve, xi: GroupElement(5, 1.5, True),
+        lambda curve, xi: LeveledDivisor(curve, (0, 0, 2, 1), "xi"),
     ],
-    ids=["float_level", "bool_level", "float_rotation", "n_0", "n_1", "float_shift"],
+    ids=["float_level", "bool_level", "float_rotation", "n_0", "n_1", "float_shift", "str_kind"],
 )
 def test_non_integer_input_is_refused(make):
     curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])

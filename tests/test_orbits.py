@@ -237,7 +237,9 @@ def test_witness_words_replay():
 
 def test_witness_across_split_parts_and_off_the_graph():
     """On the split curve n = 7, [1, 1, 2, 2, 4, 4], no word joins the 7-vertex
-    part to the 560-vertex part, and a divisor off the graph is refused."""
+    part to the 560-vertex part, and a divisor off the graph is refused: levels
+    off the vertex set, a DELTA divisor with a vertex's levels, and a divisor of
+    another curve whose levels are a vertex of this one."""
     curve = CurveSpec.from_alphas(7, [1, 1, 2, 2, 4, 4])
     graph = build_graph(curve)
     small, large, off = (LeveledDivisor(curve, levels, DivisorKind.XI)
@@ -245,8 +247,17 @@ def test_witness_across_split_parts_and_off_the_graph():
     part_size = {i: len(part) for part in graph.components() for i in part}
     assert [part_size[graph.vertex_id(v)] for v in (small, large)] == [7, 560]
     assert graph.witness(small, large) is None
+    delta = LeveledDivisor(curve, small.levels, DivisorKind.DELTA)
     with pytest.raises(DivisorError, match="is not a vertex"):
         graph.witness(off, small)
+    with pytest.raises(DivisorError, match="is not a vertex"):
+        graph.witness(delta, small)
+    other, here = CurveSpec.from_alphas(5, [1, 1, 2, 1]), CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    graph = build_graph(here)
+    xi, stranger = (LeveledDivisor(c, (0, 2, 3, 3), DivisorKind.XI) for c in (here, other))
+    assert satisfies_conditions(xi) and satisfies_conditions(stranger)
+    with pytest.raises(DivisorError, match="is not a vertex"):
+        graph.witness(stranger, xi)
 
 
 def test_relabeling_symmetry():
