@@ -10,9 +10,10 @@ Three denominators are built here:
 * ``full_denominator`` (h): for every pair of (class, level) slots the unit
   exponent is c^(n)_d - f^(n)_d(l) with d = alpha * delta^{-1} mod n and l
   the twisted level offset; invariant under the negation and rotation
-  operators.  It is tabulated once per (n, classes), so h reads one entry
-  per point pair; the walk over the divisor's slots in a caller-chosen
-  order stays as the oracle that the order of assembly never matters.
+  operators.  Each slot-pair exponent is cached per (n, slot, slot), so h
+  computes one exponent per new slot pair; the walk over the divisor's
+  slots in a caller-chosen order stays as the oracle that the order of
+  assembly never matters.
 * ``pmt_denominator`` (g^beta) and ``pmt_gamma_denominator`` (q^{Q,gamma})
   are two-block products with one rule per point pair.  Let a(P) be the
   level a_{beta,alpha}(l) = alpha * beta^{-1} - 1 - l mod n that the
@@ -42,9 +43,9 @@ from operator import add, sub
 from typing import Mapping, Optional
 
 from .curve import CurveSpec, e_factor, is_int, k_inverse
-from .divisors import DivisorError, LeveledDivisor
+from .divisors import DivisorError, LeveledDivisor, _require_int
 from .ffunctions import c_constant, f_chain
-from .operators import _Lazy, _negate, _require_points, _require_swap_pair, _require_xi, _tables
+from .operators import _negate, _require_points, _require_swap_pair, _require_xi, _tables
 
 
 class EvalMode(Enum):
@@ -72,8 +73,7 @@ class ExponentMatrix:
         for (i, j), v in (entries or {}).items():
             if i == j:
                 raise DivisorError("diagonal pairs are not allowed")
-            if not (0 <= i < p and 0 <= j < p):
-                raise DivisorError(f"pair ({i}, {j}) names a point outside 0..{p - 1}")
+            _require_on_curve(p, i, j)
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise DivisorError(f"pair {key} is given twice")
@@ -86,9 +86,8 @@ class ExponentMatrix:
 
     def unit_exponent(self, i: int, j: int) -> int:
         p = self.curve.point_count
-        if i == j or not (0 <= i < p and 0 <= j < p):
-            return 0
-        return self._values[_pair_index(p, i, j)]
+        _require_on_curve(p, i, j)
+        return 0 if i == j else self._values[_pair_index(p, i, j)]
 
     @property
     def unit_factor(self) -> int:
@@ -127,6 +126,11 @@ class ExponentMatrix:
         return f"ExponentMatrix({dict(self.items())})"
 
 
+def _require_on_curve(p: int, i: int, j: int) -> None:
+    if not (0 <= i < p and 0 <= j < p):
+        raise DivisorError(f"pair ({i}, {j}) names a point outside 0..{p - 1}")
+
+
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Entrywise difference; negative exponents are fine (formal quotients)."""
     return a._combine(b, sub)
@@ -137,6 +141,7 @@ def degree(matrix: ExponentMatrix) -> int:
     return matrix.unit_factor * matrix.degree_units()
 
 
+@lru_cache(maxsize=None)
 def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
     """c^(n)_d - f^(n)_d(l) for the slot pair walked from ``first`` = (delta, r)
     to ``second`` = (alpha, l'), where d = alpha * delta^{-1} and l = l' - r * d mod n."""
@@ -145,34 +150,15 @@ def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int])
     return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
 
 
-@lru_cache(maxsize=None)
-def _pair_table(n: int, classes: tuple[int, ...]) -> tuple[dict[int, int], _Lazy]:
-    """Slot numbers and the unit exponent of every pair of (class, level) slots.
-
-    Slot (alpha, l) is numbered offset[alpha] + l, with the classes in
-    ascending order, so slot numbers order the same way as the slots do.
-    rows[s][t] walks from the lower of s and t to the higher, exactly as the
-    sorted slot walk does, so the table is symmetric.  A row is computed the
-    first time a divisor occupies its slot: one h on a large curve reads only
-    the rows of its own points.
-    """
-    ordered = sorted(classes)
-    offset = {a: i * n for i, a in enumerate(ordered)}
-    slots = [(a, l) for a in ordered for l in range(n)]
-    return offset, _Lazy(lambda s: tuple(
-        _slot_pair_exponent(n, min(slots[s], other), max(slots[s], other)) for other in slots
-    ))
-
-
 def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> ExponentMatrix:
     """The full denominator h of a valid shifted divisor.
 
-    Each point pair reads its unit exponent from the per-curve table of
-    (class, level) slot pairs, ``_pair_table``.  ``slot_order`` instead walks
-    the divisor's nonempty slots in the given order, pairing every slot with
-    itself and with each later one; that walk is the oracle for the table and
-    for order independence, which the tests exercise by passing a reversed
-    order.
+    Each point pair takes the unit exponent of its (class, level) slot pair,
+    walked from the lower slot to the higher and cached per (n, slot, slot).
+    ``slot_order`` instead walks the divisor's nonempty slots in the given
+    order, pairing every slot with itself and with each later one; that walk
+    is the oracle for the cached exponents and for order independence, which
+    the tests exercise by passing a reversed order.
     """
     _require_xi(xi)
     if slot_order is not None:
@@ -200,12 +186,11 @@ def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
 
 
 def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
-    offset, rows = _pair_table(curve.n, curve.classes)
-    slot = [offset[a] + l for a, l in zip(curve.alphas, levels)]
-    out: list[int] = []
-    for i, s in enumerate(slot):
-        out += map(rows[s].__getitem__, slot[i + 1 :])
-    return tuple(out)
+    n = curve.n
+    return tuple(
+        _slot_pair_exponent(n, min(s, t), max(s, t))
+        for s, t in itertools.combinations(zip(curve.alphas, levels), 2)
+    )
 
 
 def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
@@ -275,6 +260,7 @@ def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
     the leads.
     """
     _require_xi(xi)
+    _require_int("beta", beta)
     return _matrix(xi.curve, _g(xi.curve, xi.levels, beta))
 
 
@@ -318,17 +304,12 @@ def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:
     subtracted from the whole block.  Reporting helper only; invariance
     checks always use raw matrices.
     """
-    curve = matrix.curve
-    by_class: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in _pairs(curve.point_count):
-        ci, cj = curve.alphas[i], curve.alphas[j]
-        by_class.setdefault((min(ci, cj), max(ci, cj)), []).append((i, j))
-    out = {}
-    for pairs in by_class.values():
-        m = min(matrix.unit_exponent(i, j) for i, j in pairs)
-        for i, j in pairs:
-            out[(i, j)] = matrix.unit_exponent(i, j) - m
-    return ExponentMatrix(curve, out)
+    curve, alphas, values = matrix.curve, matrix.curve.alphas, matrix._values
+    shapes = [tuple(sorted((alphas[i], alphas[j]))) for i, j in _pairs(curve.point_count)]
+    least: dict[tuple[int, int], int] = {}
+    for shape, v in zip(shapes, values):
+        least[shape] = min(v, least.get(shape, v))
+    return _matrix(curve, tuple(v - least[shape] for shape, v in zip(shapes, values)))
 
 
 def evaluate(matrix: ExponentMatrix, mode: EvalMode = EvalMode.EXACT_RATIONAL):

@@ -36,6 +36,11 @@ class DivisorError(ValueError):
     pass
 
 
+def _require_int(what: str, value) -> None:
+    if not is_int(value):  # in a cache, 2.0 and True would find the entries of 2 and 1
+        raise DivisorError(f"{what} must be an integer, got {value!r}")
+
+
 class DivisorKind(Enum):
     DELTA = "delta"
     XI = "xi"

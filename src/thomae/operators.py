@@ -14,12 +14,12 @@ and wrap its image unvalidated, as every kernel reduces its levels mod n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import compress
 from operator import eq, getitem
 
 from .curve import is_int, k_inverse
-from .divisors import DivisorError, DivisorKind, LeveledDivisor
+from .divisors import DivisorError, DivisorKind, LeveledDivisor, _require_int
 
 
 class AdmissibilityError(DivisorError):
@@ -42,30 +42,19 @@ def b_value(beta: int, alpha: int, l: int, n: int) -> int:
     return (2 * alpha * k_inverse(beta, n) - 1 - l) % n
 
 
-class _Lazy(dict):
-    """A table whose entry for a key is built by ``build`` on first use."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class _Tables:
-    """One curve's level maps, built on first use: map[i][l] is point i's image
-    at level l.  rotations[k mod n] is M^k, negations[beta] is N_beta for any
-    unit beta, reflections[beta] is T's b-reflection for a base point of class
-    beta; expected[q][j][r] is R's partner level with Q at level j, -1 at Q."""
+    """One curve's level maps, built on first call: map[i][l] is point i's image
+    at level l.  rotations(k mod n) is M^k, negations(beta) is N_beta for any
+    unit beta, reflections(beta) is T's b-reflection for a base point of class
+    beta; expected(q)[j][r] is R's partner level with Q at level j, -1 at Q."""
 
     def __init__(self, n: int, alphas: tuple[int, ...]):
         self.n, self.alphas, self.points = n, alphas, range(len(alphas))
         self.flip = tuple(range(n - 1, -1, -1))
-        self.rotations = _Lazy(lambda k: self._maps(lambda a, l: l - a * k))
-        self.negations = _Lazy(lambda b: self._maps(lambda a, l: a_value(b, a, l, n)))
-        self.reflections = _Lazy(lambda b: self._maps(lambda a, l: b_value(b, a, l, n)))
-        self.expected = _Lazy(self._expected)
+        self.rotations = cache(lambda k: self._maps(lambda a, l: l - a * k))
+        self.negations = cache(lambda b: self._maps(lambda a, l: a_value(b, a, l, n)))
+        self.reflections = cache(lambda b: self._maps(lambda a, l: b_value(b, a, l, n)))
+        self.expected = cache(self._expected)
 
     def _maps(self, rule) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(rule(a, l) % self.n for l in range(self.n)) for a in self.alphas)
@@ -78,7 +67,7 @@ class _Tables:
         )
 
 
-_tables = lru_cache(maxsize=None)(_Tables)  # _tables(n, alphas), one per curve
+_tables = cache(_Tables)  # _tables(n, alphas), one per curve
 
 
 def _tables_of(xi: LeveledDivisor) -> _Tables:
@@ -86,7 +75,7 @@ def _tables_of(xi: LeveledDivisor) -> _Tables:
 
 
 def _rotate(t: _Tables, levels: tuple, k: int) -> tuple:
-    return tuple(map(getitem, t.rotations[k % t.n], levels))
+    return tuple(map(getitem, t.rotations(k % t.n), levels))
 
 
 def _reflect(t: _Tables, levels: tuple) -> tuple:
@@ -94,12 +83,12 @@ def _reflect(t: _Tables, levels: tuple) -> tuple:
 
 
 def _negate(t: _Tables, levels: tuple, beta: int) -> tuple:
-    return tuple(map(getitem, t.negations[beta], levels))
+    return tuple(map(getitem, t.negations(beta), levels))
 
 
 def _swap(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
     """T: the b-reflection of every point, then Q drops and R rises."""
-    return _swap_hat(t, tuple(map(getitem, t.reflections[t.alphas[q]], levels)), r, q)
+    return _swap_hat(t, tuple(map(getitem, t.reflections(t.alphas[q]), levels)), r, q)
 
 
 def _swap_hat(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
@@ -109,7 +98,7 @@ def _swap_hat(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
 
 
 def _partners(t: _Tables, levels: tuple, q: int) -> tuple[int, ...]:
-    return tuple(compress(t.points, map(eq, t.expected[q][levels[q]], levels)))
+    return tuple(compress(t.points, map(eq, t.expected(q)[levels[q]], levels)))
 
 
 def _group(t: _Tables, levels: tuple, g: "GroupElement") -> tuple:
@@ -142,14 +131,14 @@ def _require_swap_pair(xi: LeveledDivisor, q_id: int, r_id: int) -> None:
 def apply_N_beta(xi: LeveledDivisor, beta: int) -> LeveledDivisor:
     """Negation: every point of class alpha at level l moves to a_{beta,alpha}(l)."""
     _require_xi(xi)
+    _require_int("beta", beta)
     return _image(xi, _negate(_tables_of(xi), xi.levels, beta))
 
 
 def apply_M(xi: LeveledDivisor, k: int = 1) -> LeveledDivisor:
     """Base-point rotation: a point of class alpha drops by alpha * k levels."""
     _require_xi(xi)
-    if not is_int(k):
-        raise DivisorError(f"the rotation power must be an integer, got {k!r}")
+    _require_int("the rotation power", k)
     return _image(xi, _rotate(_tables_of(xi), xi.levels, k))
 
 
@@ -174,7 +163,7 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     t = _tables_of(xi)
     if xi.levels[q_id] != 0:
         raise AdmissibilityError("base point not at level 0", q_id, xi.levels[q_id], 0)
-    expected = t.expected[q_id][0][r_id]
+    expected = t.expected(q_id)[0][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
     return _image(xi, _swap(t, xi.levels, q_id, r_id))
@@ -184,7 +173,7 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
     _require_points(xi, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
-    return xi.levels[r_id] == _tables_of(xi).expected[q_id][xi.levels[q_id]][r_id]
+    return xi.levels[r_id] == _tables_of(xi).expected(q_id)[xi.levels[q_id]][r_id]
 
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
@@ -204,7 +193,7 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     """
     _require_swap_pair(xi, q_id, r_id)
     t = _tables_of(xi)
-    expected = t.expected[q_id][xi.levels[q_id]][r_id]
+    expected = t.expected(q_id)[xi.levels[q_id]][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
     return _image(xi, _swap_hat(t, xi.levels, q_id, r_id))
@@ -240,6 +229,8 @@ class GroupElement:
     @classmethod
     def negation(cls, n: int, beta: int) -> "GroupElement":
         """The group element acting like apply_N_beta."""
+        _require_int("beta", beta)
+        cls(n, 0, True)  # refuses a bad n before k_inverse reads it
         return cls(n, -k_inverse(beta, n), True)
 
     def compose(self, other: "GroupElement") -> "GroupElement":

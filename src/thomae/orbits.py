@@ -75,21 +75,16 @@ class OrbitGraph:
     def _t(self):
         return _tables(self.curve.n, self.curve.alphas)
 
-    @cached_property
-    def _swap_labels(self) -> list[list[str]]:
-        npts = self.curve.point_count
-        return [[f"That:{q},{r}" for r in range(npts)] for q in range(npts)]
-
     def _out(self, levels: tuple) -> Iterator[tuple[tuple, str]]:
         """The out-edges of ``levels`` as (image, label), in a fixed order:
         M, M^-1, N, then every simplified swap "That:q,r" in ascending (q, r)."""
-        t, labels = self._t, self._swap_labels
+        t = self._t
         yield _rotate(t, levels, 1), "M"
         yield _rotate(t, levels, -1), "M^-1"
         yield _reflect(t, levels), "N"
         for q in range(self.curve.point_count):
             for r in _partners(t, levels, q):
-                yield _swap_hat(t, levels, q, r), labels[q][r]
+                yield _swap_hat(t, levels, q, r), f"That:{q},{r}"
 
     def _rep(self, levels: tuple) -> tuple:
         """The member of the M-orbit of ``levels`` with point 0 at level 0."""

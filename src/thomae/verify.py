@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
@@ -33,7 +33,6 @@ from .divisors import (
 )
 from .operators import (
     GroupElement,
-    _Lazy,
     _group,
     _negate,
     _partners,
@@ -157,37 +156,35 @@ def _denominators(run: _Run) -> Iterator[str]:
     spec = run.spec
     t = _tables(spec.n, spec.alphas)
     # each h, g and q is built once and looked up for every image that reaches it
-    hs = _Lazy(lambda levels: _h(spec, levels))
-    gs = _Lazy(lambda key: _g(spec, *key))
-    qs = _Lazy(lambda key: _q(spec, *key))
+    hs, gs, qs = (cache(partial(kernel, spec)) for kernel in (_h, _g, _q))
     degrees = set()
     for xi in run.xis:
         levels = xi.levels
-        h = hs[levels]
+        h = hs(levels)
         whole = _matrix(spec, h)
         degrees.add(degree(whole))
         slots = sorted(xi.sets(), reverse=True)
         if full_denominator(xi, slot_order=slots) != whole:
             yield f"assembly order changes h at {levels}"
-        if hs[_rotate(t, levels, 1)] != h:
+        if hs(_rotate(t, levels, 1)) != h:
             yield f"h not rotation invariant at {levels}"
         for beta in spec.classes:
-            if hs[_negate(t, levels, beta)] != h:
+            if hs(_negate(t, levels, beta)) != h:
                 yield f"h not negation invariant at {levels}, beta={beta}"
         for q in range(spec.point_count):
             if levels[q] != 0:
                 continue
             beta = spec.alphas[q]
-            g0 = gs[levels, beta]
+            g0 = gs(levels, beta)
             for r in _partners(t, levels, q):
                 image = _swap(t, levels, q, r)
                 shift = _shift(spec, levels, q, r)
-                if tuple(map(sub, hs[image], h)) != shift:
+                if tuple(map(sub, hs(image), h)) != shift:
                     yield f"h shift wrong under T:{q},{r} at {levels}"
-                if tuple(map(sub, gs[image, beta], g0)) != shift:
+                if tuple(map(sub, gs(image, beta), g0)) != shift:
                     yield f"g^{beta} shift wrong under T:{q},{r} at {levels}"
                 gamma = spec.alphas[r]
-                if tuple(map(sub, qs[image, q, gamma], qs[levels, q, gamma])) != shift:
+                if tuple(map(sub, qs(image, q, gamma), qs(levels, q, gamma))) != shift:
                     yield f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at {levels}"
     if len(degrees) > 1:
         yield f"h degrees differ across divisors: {sorted(degrees)}"

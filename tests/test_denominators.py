@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -229,7 +230,7 @@ def test_full_denominator_invariances(small_battery):
             assert full_denominator(apply_M(xi, 1)) == h
             for beta in curve.classes:
                 assert full_denominator(apply_N_beta(xi, beta)) == h
-        # the pair table against the sorted slot walk on every level vector, valid
+        # the cached exponents against the sorted slot walk on every level vector, valid
         # or not, as the denominator command takes any XI levels; on the same
         # vectors the one condition test against the per-k counts
         for levels in itertools.product(range(curve.n), repeat=curve.point_count):
@@ -242,6 +243,18 @@ def test_full_denominator_invariances(small_battery):
                     for k, thr in enumerate(curve.thresholds, 1)
                 )
                 assert satisfies_conditions(d) == lhs_holds
+
+
+def test_full_denominator_beyond_the_battery():
+    """h against the slot walk, sorted and reversed, on a curve of 21 classes."""
+    curve = CurveSpec.from_alphas(101, list(range(1, 21)) + [93])
+    rng = random.Random(20)
+    for _ in range(5):
+        levels = tuple(rng.randrange(curve.n) for _ in range(curve.point_count))
+        d = LeveledDivisor(curve, levels, DivisorKind.XI)
+        h = full_denominator(d)
+        assert h == full_denominator(d, slot_order=sorted(d.sets()))
+        assert h == full_denominator(d, slot_order=sorted(d.sets(), reverse=True))
 
 
 def test_swap_shift_law(small_battery):
@@ -333,24 +346,35 @@ def test_matrix_rejects_diagonal():
 
 
 @pytest.mark.parametrize(
-    "entries, message",
+    "entries, read, message",
     [
-        ({(-1, 1): 2}, "outside 0..2"),  # would read as the pair (2, 1)
-        ({(0, 7): 2}, "outside 0..2"),  # would fail only in evaluate
-        ({(0, 1): 2, (1, 0): 3}, "given twice"),  # would keep the last value
-        ({(0, 1): 0, (1, 0): 3}, "given twice"),
-        ({(0, 1): 0.5}, "not an integer"),  # matrix_to_dict would emit the float
-        ({(0, 1): 2.0}, "not an integer"),
-        ({(1, 2): "x"}, "not an integer"),
-        ({(0, 2): True}, "not an integer"),
+        ({(-1, 1): 2}, (0, 1), "outside 0..2"),  # would read as the pair (2, 1)
+        ({(0, 7): 2}, (0, 1), "outside 0..2"),  # would fail only in evaluate
+        ({(0, 1): 2, (1, 0): 3}, (0, 1), "given twice"),  # would keep the last value
+        ({(0, 1): 0, (1, 0): 3}, (0, 1), "given twice"),
+        ({(0, 1): 0.5}, (0, 1), "not an integer"),  # matrix_to_dict would emit the float
+        ({(0, 1): 2.0}, (0, 1), "not an integer"),
+        ({(1, 2): "x"}, (0, 1), "not an integer"),
+        ({(0, 2): True}, (0, 1), "not an integer"),
+        ({(0, 1): 2}, (0, 99), r"pair \(0, 99\) names a point outside 0..2"),  # read as 0
+        ({(0, 1): 2}, (-1, 0), r"pair \(-1, 0\) names a point outside 0..2"),
     ],
     ids=["negative-index", "index-past-last-point", "pair-twice", "pair-twice-first-zero",
-         "float-exponent", "integral-float-exponent", "string-exponent", "bool-exponent"],
+         "float-exponent", "integral-float-exponent", "string-exponent", "bool-exponent",
+         "read-past-last-point", "read-negative-index"],
 )
-def test_matrix_rejects_malformed_pairs(entries, message):
+def test_matrix_rejects_malformed_pairs(entries, read, message):
+    """The constructor refuses a malformed entry; reading an entry back refuses
+    a pair off the curve in the same words."""
     curve = CurveSpec.from_alphas(3, [1, 1, 1])
     with pytest.raises(DivisorError, match=message):
-        ExponentMatrix(curve, entries)
+        ExponentMatrix(curve, entries).unit_exponent(*read)
+
+
+def test_unit_exponent_reads_either_order():
+    mat = ExponentMatrix(CurveSpec.from_alphas(3, [1, 1, 1]), {(2, 0): 5})
+    assert mat.unit_exponent(0, 2) == mat.unit_exponent(2, 0) == 5
+    assert mat.unit_exponent(1, 1) == mat.unit_exponent(0, 1) == 0
 
 
 def test_evaluate_zero_matrix():

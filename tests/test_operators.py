@@ -21,6 +21,7 @@ from thomae import (
     base_point_representative,
     enumerate_divisors,
     k_inverse,
+    pmt_denominator,
     satisfies_conditions,
     t_admissible,
     t_hat_admissible,
@@ -219,12 +220,28 @@ def test_operators_reject_bad_point_indices(operator, args):
         lambda curve, xi: GroupElement(1, 0, False),
         lambda curve, xi: GroupElement(5, 1.5, True),
         lambda curve, xi: LeveledDivisor(curve, (0, 0, 2, 1), "xi"),
+        lambda curve, xi: apply_N_beta(xi, 2.0),
+        lambda curve, xi: apply_N_beta(xi, True),
+        lambda curve, xi: pmt_denominator(xi, 2.0),
+        lambda curve, xi: pmt_denominator(xi, True),
+        lambda curve, xi: GroupElement.negation(5, 2.0),
+        lambda curve, xi: GroupElement.negation(103.0, 2),  # k_inverse read the float n first
     ],
-    ids=["float_level", "bool_level", "float_rotation", "n_0", "n_1", "float_shift", "str_kind"],
+    ids=["float_level", "bool_level", "float_rotation", "n_0", "n_1", "float_shift", "str_kind",
+         "float_beta", "bool_beta", "float_beta_g", "bool_beta_g", "float_beta_negation",
+         "float_n_negation"],
 )
 def test_non_integer_input_is_refused(make):
+    """Refused with DivisorError, and still refused once the integer it equals
+    has filled the caches: 2.0 == 2 and True == 1 as cache keys."""
     curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])
     xi = next(x for x in xis(curve) if x.levels == (1, 3, 4, 0))
+    with pytest.raises(DivisorError):
+        make(curve, xi)
+    for beta in (1, 2):
+        apply_N_beta(xi, beta)
+        pmt_denominator(xi, beta)
+        GroupElement.negation(5, beta)
     with pytest.raises(DivisorError):
         make(curve, xi)
 
