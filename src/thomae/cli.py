@@ -7,21 +7,21 @@ verification sweep found an invariant violation.
 
 A command returns its report fields and its csv rows (``None`` flattens the
 report) and writes nothing itself.  ``main`` owns the envelope and the exit
-status: it puts ``version`` and ``inputs`` (the digests of the command's
-``--curve``, ``--divisor`` and ``--family`` files) before the fields, emits
-the report, and turns a refusal into one ``error:`` line on stderr.
+status: it reads each ``--curve``, ``--divisor`` and ``--family`` file once,
+passes the parsed documents to the command (the curve already built), puts
+``version`` and ``inputs`` (the digests of the bytes read) before the fields,
+emits the report, and turns a refusal into one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from .curve import CurveError, CurveSpec, load_curve
+from .curve import CurveError, CurveSpec, curve_from_dict, read_document
 from .denominators import (
     EvalMode,
     degree,
@@ -52,11 +52,6 @@ from .verify import run_suite
 
 VALIDATION_ERROR = 1
 INVARIANT_VIOLATION = 2
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _emit(report: dict, fmt: str, csv_rows) -> None:
@@ -99,18 +94,14 @@ def _emit_human(report: dict, indent: int = 0) -> None:
             sys.stdout.write(f"{pad}{key}: {value}\n")
 
 
-def _load_divisor(path: str, curve: CurveSpec) -> LeveledDivisor:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _load_divisor(data, path: str, curve: CurveSpec) -> LeveledDivisor:
+    """The divisor on ``curve`` of the document ``data`` read from ``path``."""
     try:
-        kind = DivisorKind(data["kind"])
-        levels = data["levels"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DivisorError(f"{path}: divisor document needs 'kind' and 'levels'") from exc
-    try:
-        return LeveledDivisor(curve, levels, kind)
+        return LeveledDivisor(curve, data["levels"], DivisorKind(data["kind"]))
     except DivisorError as exc:
         raise DivisorError(f"{path}: {exc}") from None
+    except (KeyError, ValueError, TypeError) as exc:
+        raise DivisorError(f"{path}: divisor document needs 'kind' and 'levels'") from exc
 
 
 def _divisor_dict(div: LeveledDivisor) -> dict:
@@ -120,8 +111,7 @@ def _divisor_dict(div: LeveledDivisor) -> dict:
 # command implementations ----------------------------------------------------
 
 
-def _cmd_enumerate(args):
-    curve = load_curve(args.curve)
+def _cmd_enumerate(args, curve):
     kind = DivisorKind(args.kind)
     if args.count_only:
         return {"count": count_divisors(curve, kind, avoid=args.avoid)}, None
@@ -164,9 +154,8 @@ _DENOMINATORS = {
 }
 
 
-def _cmd_apply(args):
-    curve = load_curve(args.curve)
-    div = _load_divisor(args.divisor, curve)
+def _cmd_apply(args, curve, divisor):
+    div = _load_divisor(divisor, args.divisor, curve)
     operator, ints = _parse_call(args.op, _OPERATORS, f"operator {args.op!r}")
     image = operator(div, *ints)
     return {"op": args.op, "result": _divisor_dict(image)}, [list(image.levels)]
@@ -179,9 +168,8 @@ def _cmd_ftable(args):
     return fields, [[chain], [f"c={table.cmax}"]]
 
 
-def _cmd_denominator(args):
-    curve = load_curve(args.curve)
-    div = _load_divisor(args.divisor, curve)
+def _cmd_denominator(args, curve, divisor):
+    div = _load_divisor(divisor, args.divisor, curve)
     build, ints = _parse_call(args.which, _DENOMINATORS, f"--which {args.which!r}")
     matrix = build(div, *ints)
     if args.reduce:
@@ -196,8 +184,7 @@ def _cmd_denominator(args):
     return fields, [[p["i"], p["j"], p["exp_unit"]] for p in pairs["pairs"]]
 
 
-def _cmd_orbits(args):
-    curve = load_curve(args.curve)
+def _cmd_orbits(args, curve):
     graph = build_graph(curve, max_vertices=args.max_vertices)
     sizes = graph.component_sizes()
     fields = {
@@ -208,17 +195,15 @@ def _cmd_orbits(args):
         "m_orbits": len(graph.reps),
     }
     if args.witness:
-        source, target = (_load_divisor(path, curve) for path in args.witness)
+        source, target = (_load_divisor(read_document(p)[0], p, curve) for p in args.witness)
         word = graph.witness(source, target)
         fields["witness"] = {"found": word is not None, "word": word}
     return fields, None
 
 
-def _cmd_counts(args):
-    with open(args.family, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _cmd_counts(args, family):
     try:
-        family = FamilySpec(tuple(data["c"]), tuple(data["d"]))
+        family = FamilySpec(tuple(family["c"]), tuple(family["d"]))
     except (KeyError, TypeError) as exc:
         raise DivisorError(f"{args.family}: family document needs 'c' and 'd'") from exc
     lo, hi = _parse_ints(args.n_range, "..", 2, f"--n-range {args.n_range!r}")
@@ -235,8 +220,7 @@ def _cmd_counts(args):
     return fields, [[c.n, c.total_divisors, c.m_orbits] for c in report.valid_counts()]
 
 
-def _cmd_verify(args):
-    curve = load_curve(args.curve)
+def _cmd_verify(args, curve):
     if curve.n > args.max_n:
         raise DivisorError(f"curve has n = {curve.n} above --max-n = {args.max_n}")
     checks = None if args.suite == "all" else args.suite.split(",")
@@ -253,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *inputs):
-        """A subcommand whose required input-file flags ``inputs`` are digested."""
+        """A subcommand whose required input-file flags ``inputs`` are read by ``main``."""
         p = sub.add_parser(name, help=help)
         for flag in inputs:
             p.add_argument(f"--{flag}", required=True)
@@ -301,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        fields, csv_rows = args.func(args)
-        inputs = {name: _digest(getattr(args, name)) for name in args.inputs}
+        documents, inputs = {}, {}
+        for name in args.inputs:
+            documents[name], inputs[name] = read_document(getattr(args, name))
+        if "curve" in documents:
+            documents["curve"] = curve_from_dict(documents["curve"])
+        fields, csv_rows = args.func(args, **documents)
         _emit({"version": __version__, "inputs": inputs, **fields}, args.format, csv_rows)
-    except (CurveError, DivisorError, FFunctionError, OSError, json.JSONDecodeError) as exc:
+    except (CurveError, DivisorError, FFunctionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_ERROR
     return INVARIANT_VIOLATION if fields.get("findings") else 0

@@ -9,11 +9,12 @@ these data; the z-values are optional and only used for evaluation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -27,11 +28,10 @@ def s_value(alpha: int, k: int, n: int) -> int:
     return (alpha * k) // n
 
 
-@lru_cache(maxsize=None)
 def k_inverse(beta: int, n: int) -> int:
     """The representative in {0..n-1} of the inverse of beta mod n."""
-    if gcd(beta, n) != 1:
-        raise CurveError(f"{beta} is not invertible mod {n}")
+    if not (is_int(beta) and is_int(n)) or gcd(beta, n) != 1:
+        raise CurveError(f"{beta!r} is not an invertible integer mod {n!r}")
     return pow(beta, -1, n)
 
 
@@ -235,13 +235,21 @@ def curve_from_dict(data: dict) -> CurveSpec:
     return CurveSpec(n, tuple(pts)).require_valid()
 
 
+def read_document(path: str) -> tuple[object, str]:
+    """The JSON document in the file at ``path`` and the first 16 hex digits of the
+    SHA-256 of the same bytes, read once, so a pipe works; non-UTF-8 or non-JSON
+    content is refused with the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CurveError(f"{path}: {exc}") from None
+    return document, hashlib.sha256(raw).hexdigest()[:16]
+
+
 def load_curve(path: str) -> CurveSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CurveError(f"{path}: {exc}") from exc
-    return curve_from_dict(data)
+    return curve_from_dict(read_document(path)[0])
 
 
 def curve_to_dict(spec: CurveSpec) -> dict:

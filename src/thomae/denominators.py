@@ -43,9 +43,9 @@ from operator import add, sub
 from typing import Mapping, Optional
 
 from .curve import CurveSpec, e_factor, is_int, k_inverse
-from .divisors import DivisorError, LeveledDivisor, _require_int
+from .divisors import DivisorError, LeveledDivisor, _require_int, _require_points
 from .ffunctions import c_constant, f_chain
-from .operators import _negate, _require_points, _require_swap_pair, _require_xi, _tables
+from .operators import _negate, _require_swap_pair, _require_xi, _tables
 
 
 class EvalMode(Enum):
@@ -71,9 +71,9 @@ class ExponentMatrix:
         values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
         for (i, j), v in (entries or {}).items():
+            _require_points(curve, i, j)
             if i == j:
                 raise DivisorError("diagonal pairs are not allowed")
-            _require_on_curve(p, i, j)
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise DivisorError(f"pair {key} is given twice")
@@ -85,9 +85,8 @@ class ExponentMatrix:
         self._values = tuple(values)
 
     def unit_exponent(self, i: int, j: int) -> int:
-        p = self.curve.point_count
-        _require_on_curve(p, i, j)
-        return 0 if i == j else self._values[_pair_index(p, i, j)]
+        _require_points(self.curve, i, j)
+        return 0 if i == j else self._values[_pair_index(self.curve.point_count, i, j)]
 
     @property
     def unit_factor(self) -> int:
@@ -124,11 +123,6 @@ class ExponentMatrix:
 
     def __repr__(self):
         return f"ExponentMatrix({dict(self.items())})"
-
-
-def _require_on_curve(p: int, i: int, j: int) -> None:
-    if not (0 <= i < p and 0 <= j < p):
-        raise DivisorError(f"pair ({i}, {j}) names a point outside 0..{p - 1}")
 
 
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
@@ -276,7 +270,8 @@ def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> Exponent
     kept out of the upper leads there as well.
     """
     _require_xi(xi)
-    _require_points(xi, q_id)
+    _require_points(xi.curve, q_id)
+    _require_int("gamma", gamma)
     curve = xi.curve
     if xi.levels[q_id] != 0:
         raise DivisorError("the base point must sit at level 0")

@@ -41,6 +41,13 @@ def _require_int(what: str, value) -> None:
         raise DivisorError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_points(spec: CurveSpec, *points) -> None:
+    """Each of ``points`` is the integer index of a point of ``spec``."""
+    for p in points:
+        if not (is_int(p) and 0 <= p < spec.point_count):
+            raise DivisorError(f"no point with index {p!r}")
+
+
 class DivisorKind(Enum):
     DELTA = "delta"
     XI = "xi"
@@ -53,8 +60,7 @@ class DivisorKind(Enum):
     def avoided_level(self, spec: CurveSpec, point: int) -> int:
         """The level an avoided ``point`` sits at: n-1 (exponent 0) for DELTA,
         0 (exponent n-1, the base-point slot) for XI."""
-        if not 0 <= point < spec.point_count:
-            raise DivisorError(f"no point with index {point}")
+        _require_points(spec, point)
         return spec.n - 1 if self is DivisorKind.DELTA else 0
 
 

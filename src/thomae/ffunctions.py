@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
+from .curve import is_int
+
 
 class FFunctionError(ValueError):
     pass
@@ -28,8 +30,8 @@ class ClosedFormUnavailable(FFunctionError):
 
 
 def _check_coprime(n: int, d: int) -> None:
-    if n < 2:
-        raise FFunctionError(f"need n >= 2, got {n}")
+    if not (is_int(n) and is_int(d)) or n < 2:
+        raise FFunctionError(f"need integers n >= 2 and d, got {n!r}, {d!r}")
     if not 1 <= d <= n - 1 or gcd(d, n) != 1:
         raise FFunctionError(f"d = {d} must lie in 1..{n - 1} and be prime to n = {n}")
 
@@ -60,10 +62,14 @@ class FFunctionTable:
         return self.values[l % self.n]
 
 
-@lru_cache(maxsize=None)
 def f_chain(n: int, d: int) -> FFunctionTable:
     """Ground-truth table, built by walking the step identity from f(0) = 0."""
-    _check_coprime(n, d)
+    _check_coprime(n, d)  # before the cache, where 7.0 and True would find 7 and 1
+    return _f_chain(n, d)
+
+
+@lru_cache(maxsize=None)
+def _f_chain(n: int, d: int) -> FFunctionTable:
     vals = [0] * n
     l = 0
     for _ in range(n - 1):
@@ -128,8 +134,8 @@ def f_closed_form(n: int, d: int, l: int) -> int:
     Mirrored cases go through f^(n)_{n-d}(l) = 2l - f^(n)_d(l).
     """
     _check_coprime(n, d)
-    if not 0 <= l <= n - 1:
-        raise FFunctionError(f"l = {l} outside 0..{n - 1}")
+    if not (is_int(l) and 0 <= l <= n - 1):
+        raise FFunctionError(f"l = {l!r} is not an integer in 0..{n - 1}")
     try:
         return _closed_small(n, d, l)
     except ClosedFormUnavailable:

@@ -19,7 +19,7 @@ from itertools import compress
 from operator import eq, getitem
 
 from .curve import is_int, k_inverse
-from .divisors import DivisorError, DivisorKind, LeveledDivisor, _require_int
+from .divisors import DivisorError, DivisorKind, LeveledDivisor, _require_int, _require_points
 
 
 class AdmissibilityError(DivisorError):
@@ -115,17 +115,11 @@ def _require_xi(xi: LeveledDivisor) -> None:
         raise DivisorError("need a divisor of kind XI")
 
 
-def _require_points(xi: LeveledDivisor, *points: int) -> None:
-    for p in points:
-        if not 0 <= p < len(xi.levels):
-            raise DivisorError(f"no point with index {p}")
-
-
 def _require_swap_pair(xi: LeveledDivisor, q_id: int, r_id: int) -> None:
     _require_xi(xi)
+    _require_points(xi.curve, q_id, r_id)
     if q_id == r_id:
         raise DivisorError("the swap needs two distinct points")
-    _require_points(xi, q_id, r_id)
 
 
 def apply_N_beta(xi: LeveledDivisor, beta: int) -> LeveledDivisor:
@@ -170,7 +164,7 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
 
 
 def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
-    _require_points(xi, q_id, r_id)
+    _require_points(xi.curve, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
     return xi.levels[r_id] == _tables_of(xi).expected(q_id)[xi.levels[q_id]][r_id]
@@ -178,7 +172,7 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
     """Every R with t_hat_admissible(xi, q_id, R), ascending."""
-    _require_points(xi, q_id)
+    _require_points(xi.curve, q_id)
     if xi.kind is not DivisorKind.XI:
         return ()
     return _partners(_tables_of(xi), xi.levels, q_id)
@@ -202,7 +196,7 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
 def base_point_representative(xi: LeveledDivisor, q_id: int) -> LeveledDivisor:
     """The unique divisor in the M-orbit with the given point at level 0."""
     _require_xi(xi)
-    _require_points(xi, q_id)
+    _require_points(xi.curve, q_id)
     n = xi.curve.n
     # solve level - alpha*k = 0 mod n for k
     k = (xi.levels[q_id] * k_inverse(xi.curve.alphas[q_id], n)) % n

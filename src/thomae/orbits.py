@@ -5,7 +5,9 @@ the rotation M, the reflection N (together these generate the dihedral
 group) and every admissible simplified swap.  Components of this graph are
 the orbits of the combined action, and operator-word witnesses support
 counterexample hunting.  The graph need not be connected: n = 7 with
-exponents [1, 1, 2, 2, 4, 4] splits into parts of 7 and 560 divisors.
+exponents [1, 1, 2, 2, 4, 4] splits into parts of 7 and 560 divisors.  On
+every split curve the tests pin, no divisor meets ``difbeta_hypothesis``, under
+which the restricted swaps reach a whole group (measured, see README).
 
 M commutes with every simplified swap and N maps M-orbits onto M-orbits,
 so every component is a union of M-orbits, and each M-orbit has exactly one
@@ -31,6 +33,7 @@ from .divisors import (
     LeveledDivisor,
     _allowed,
     _list_assignments,
+    _require_int,
     count_base_point_free,
     count_divisors,
     enumerate_divisors,
@@ -86,16 +89,13 @@ class OrbitGraph:
             for r in _partners(t, levels, q):
                 yield _swap_hat(t, levels, q, r), f"That:{q},{r}"
 
-    def _rep(self, levels: tuple) -> tuple:
-        """The member of the M-orbit of ``levels`` with point 0 at level 0."""
-        return _rotate(self._t, levels, levels[0] * k_inverse(self.curve.alphas[0], self.curve.n))
-
     @cached_property
     def parts(self) -> list[list[tuple]]:
         """The components as lists of representatives, each in ascending order."""
+        t, step = self._t, k_inverse(self.curve.alphas[0], self.curve.n)
 
-        def neighbours(v):  # the M edges are loops here
-            return ((self._rep(w), label) for w, label in self._out(v))
+        def neighbours(v):  # M^(l * step) takes point 0 from level l to 0; M edges are loops
+            return ((_rotate(t, w, w[0] * step), label) for w, label in self._out(v))
 
         parts, seen = [], set()
         for rep in self.reps:
@@ -195,6 +195,7 @@ def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
     """Either every level of class beta is occupied and the mirror class is
     absent from the curve, or some level j of class beta is occupied together
     with level n-1-j of the mirror class."""
+    _require_int("beta", beta)
     if xi.kind is not DivisorKind.XI:
         raise DivisorError("the occupation hypotheses concern divisors of kind XI")
     curve = xi.curve
@@ -220,6 +221,7 @@ def difbeta_reachability(
     hypotheses; violations raise ReachabilityPreconditionError rather than
     returning False, so an unreachable-but-eligible pair is a reportable finding.
     """
+    _require_int("beta", beta)
     curve = xi.curve
     if upsilon.curve != curve:
         raise DivisorError("divisors live on different curves")

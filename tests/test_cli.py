@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -388,3 +389,49 @@ def test_count_past_state_budget_is_one_error_line(capsys, tmp_path, monkeypatch
         )
         assert code == 1 and out == ""
         assert err == "error: counting needs over 100 partial sums; refused\n"
+
+
+def test_piped_curve_is_digested_as_read(capsys):
+    """A curve given as a pipe is read once: the reported digest is of the
+    bytes written to the pipe, and the count is that curve's."""
+    data = json.dumps({"n": 3, "points": [{"alpha": 1}] * 3 + [{"alpha": 2}] * 3}).encode()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        code, out, _ = run(capsys, "enumerate", "--curve", f"/dev/fd/{read_end}",
+                           "--kind", "delta", "--count-only")
+    finally:
+        os.close(read_end)
+    doc = json.loads(out)
+    assert code == 0 and doc["count"] == 60
+    assert doc["inputs"] == {"curve": hashlib.sha256(data).hexdigest()[:16]}
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("curve", b'{"n": 5, "points": [{"alpha": 1, "label": "\xff"}]}'),
+        ("curve", b'{"n": 5, "points": '),
+        ("divisor", b'{"kind": "xi", "levels": [0, 1, 2]'),
+        ("divisor", b'{"kind": "xi", "levels": [0, 1, 2], "note": "\xc3"}'),
+        ("family", b'{c: [1, 1, 1], d: [1, 1, 1]}'),
+        ("witness", b"[0, 1, 2"),
+    ],
+    ids=["non-utf8-curve", "non-json-curve", "non-json-divisor", "non-utf8-divisor",
+         "non-json-family", "non-json-witness"],
+)
+def test_unreadable_input_file_is_one_error_line_naming_it(capsys, tmp_path, flag, content):
+    curve = write(tmp_path / "c.json", {"n": 5, "points": [{"alpha": a} for a in (1, 2, 2)]})
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 2, 4]})
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "curve": ["enumerate", "--curve", str(bad), "--count-only"],
+        "divisor": ["apply", "--curve", curve, "--divisor", str(bad), "--op", "N"],
+        "family": ["counts", "--family", str(bad), "--n-range", "2..5"],
+        "witness": ["orbits", "--curve", curve, "--witness", divisor, str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

@@ -348,16 +348,16 @@ def test_matrix_rejects_diagonal():
 @pytest.mark.parametrize(
     "entries, read, message",
     [
-        ({(-1, 1): 2}, (0, 1), "outside 0..2"),  # would read as the pair (2, 1)
-        ({(0, 7): 2}, (0, 1), "outside 0..2"),  # would fail only in evaluate
+        ({(-1, 1): 2}, (0, 1), "no point with index -1"),  # would read as the pair (2, 1)
+        ({(0, 7): 2}, (0, 1), "no point with index 7"),  # would fail only in evaluate
         ({(0, 1): 2, (1, 0): 3}, (0, 1), "given twice"),  # would keep the last value
         ({(0, 1): 0, (1, 0): 3}, (0, 1), "given twice"),
         ({(0, 1): 0.5}, (0, 1), "not an integer"),  # matrix_to_dict would emit the float
         ({(0, 1): 2.0}, (0, 1), "not an integer"),
         ({(1, 2): "x"}, (0, 1), "not an integer"),
         ({(0, 2): True}, (0, 1), "not an integer"),
-        ({(0, 1): 2}, (0, 99), r"pair \(0, 99\) names a point outside 0..2"),  # read as 0
-        ({(0, 1): 2}, (-1, 0), r"pair \(-1, 0\) names a point outside 0..2"),
+        ({(0, 1): 2}, (0, 99), "no point with index 99"),  # read as 0
+        ({(0, 1): 2}, (-1, 0), "no point with index -1"),
     ],
     ids=["negative-index", "index-past-last-point", "pair-twice", "pair-twice-first-zero",
          "float-exponent", "integral-float-exponent", "string-exponent", "bool-exponent",

@@ -12,6 +12,7 @@ from thomae import (
     f_sign_flip,
     k_inverse,
 )
+from thomae.curve import CurveError
 from thomae.ffunctions import FFunctionError
 
 
@@ -197,3 +198,38 @@ def test_table_random_consistency(n, data):
 
 def test_tables_are_cached():
     assert f_chain(31, 7) is f_chain(31, 7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: f_chain(7.0, 2),
+        lambda: f_chain(7, 2.0),
+        lambda: f_chain(7, True),
+        lambda: f_chain("7", 2),
+        lambda: f_recursive(7.0, 2),
+        lambda: f_recursive(7, True),
+        lambda: f_closed_form(7.0, 2, 1),
+        lambda: f_closed_form(7, 1, 1.0),
+        lambda: c_constant(7.0, 2),
+    ],
+    ids=["float_n", "float_d", "bool_d", "str_n", "recursive_float_n", "recursive_bool_d",
+         "closed_float_n", "closed_float_l", "constant_float_n"],
+)
+def test_non_integer_arguments_are_refused(call):
+    """Refused with FFunctionError before any cache is read, so also once the
+    tables of 7 and of d = 1, 2 are cached: 7.0 == 7 and True == 1 as keys."""
+    with pytest.raises(FFunctionError):
+        call()
+    for d in (1, 2):
+        f_chain(7, d)
+        f_recursive(7, d)
+    with pytest.raises(FFunctionError):
+        call()
+
+
+def test_k_inverse_refuses_non_integers():
+    assert k_inverse(2, 5) == 3 and k_inverse(1, 5) == 1
+    for beta, n in ((2.0, 5), (True, 5), (2, 5.0), ("2", 5)):
+        with pytest.raises(CurveError, match="not an invertible integer"):
+            k_inverse(beta, n)

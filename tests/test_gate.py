@@ -1,0 +1,95 @@
+"""Every public function that takes a point index or an exponent class refuses
+anything but an integer with DivisorError or CurveError, and gives a result or
+one of those refusals for any integer."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from thomae import (
+    CurveError,
+    CurveSpec,
+    DivisorError,
+    DivisorKind,
+    ExponentMatrix,
+    LeveledDivisor,
+    apply_N_beta,
+    apply_T,
+    apply_T_hat,
+    base_point_representative,
+    count_divisors,
+    difbeta_hypothesis,
+    difbeta_reachability,
+    enumerate_divisors,
+    pmt_denominator,
+    pmt_gamma_denominator,
+    t_admissible,
+    t_hat_admissible,
+    t_hat_partners,
+    theta_relation_shift,
+)
+from thomae.curve import is_int
+
+CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+XI = LeveledDivisor(CURVE, (0, 0, 2, 1), DivisorKind.XI)  # point 0 at level 0
+
+# in and out of range, integral and other floats, booleans and strings
+VALUES = st.one_of(
+    st.integers(-6, 9),
+    st.integers(-6, 9).map(float),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=2),
+)
+
+# name -> (number of generated arguments, the call)
+CALLS = {
+    "t_hat_partners": (1, lambda q: t_hat_partners(XI, q)),
+    "t_hat_admissible": (2, lambda q, r: t_hat_admissible(XI, q, r)),
+    "t_admissible": (2, lambda q, r: t_admissible(XI, q, r)),
+    "apply_T": (2, lambda q, r: apply_T(XI, q, r)),
+    "apply_T_hat": (2, lambda q, r: apply_T_hat(XI, q, r)),
+    "base_point_representative": (1, lambda q: base_point_representative(XI, q)),
+    "theta_relation_shift": (2, lambda q, r: theta_relation_shift(XI, q, r)),
+    "pmt_gamma_denominator": (2, lambda q, gamma: pmt_gamma_denominator(XI, q, gamma)),
+    "pmt_denominator": (1, lambda beta: pmt_denominator(XI, beta)),
+    "apply_N_beta": (1, lambda beta: apply_N_beta(XI, beta)),
+    "ExponentMatrix": (2, lambda i, j: ExponentMatrix(CURVE, {(i, j): 1})),
+    "unit_exponent": (2, lambda i, j: ExponentMatrix(CURVE).unit_exponent(i, j)),
+    "count_divisors_delta": (1, lambda p: count_divisors(CURVE, DivisorKind.DELTA, avoid=p)),
+    "count_divisors_xi": (1, lambda p: count_divisors(CURVE, DivisorKind.XI, avoid=p)),
+    "enumerate_divisors": (1, lambda p: list(enumerate_divisors(CURVE, DivisorKind.XI, p))),
+    "difbeta_hypothesis": (1, lambda beta: difbeta_hypothesis(XI, beta)),
+    "difbeta_reachability": (1, lambda beta: difbeta_reachability(XI, XI, beta)),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_point_and_class_arguments_are_gated(name, data):
+    """A result only when every generated argument is an integer; otherwise,
+    and for an integer off the curve, DivisorError or CurveError, never a
+    TypeError or another exception."""
+    arity, call = CALLS[name]
+    args = [data.draw(VALUES, label=f"argument {k}") for k in range(arity)]
+    try:
+        call(*args)
+    except (DivisorError, CurveError):
+        return
+    assert all(map(is_int, args)), f"{name}{tuple(args)} gave a result"
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_integral_floats_and_booleans_are_refused_after_the_integer(name):
+    """Refused also once the integer that 2.0 or True equals has filled the caches."""
+    arity, call = CALLS[name]
+    for good, bad in ((2, 2.0), (1, True), (0, 0.0)):
+        try:
+            call(*[good] * arity)
+        except (DivisorError, CurveError):
+            pass
+        for k in range(arity):
+            args = [good] * arity
+            args[k] = bad
+            with pytest.raises((DivisorError, CurveError)):
+                call(*args)

@@ -494,3 +494,69 @@ def test_family_spec_validation():
         FamilySpec((1, 2), (1,))
     with pytest.raises(DivisorError):
         FamilySpec((), ())
+
+
+def _restricted_components(curve, verts, pair):
+    """Each vertex mapped to a label of its component under the T-hat swaps
+    whose two points both have a class in ``pair``, by a search with the kernels."""
+    t = _tables(curve.n, curve.alphas)
+    inside = [i for i, a in enumerate(curve.alphas) if a in pair]
+    comp = {}
+    for v in verts:
+        if v in comp:
+            continue
+        comp[v], stack = v, [v]
+        while stack:
+            u = stack.pop()
+            for q in inside:
+                for r in _partners(t, u, q):
+                    w = _swap_hat(t, u, q, r)
+                    if curve.alphas[r] in pair and w not in comp:
+                        comp[w] = v
+                        stack.append(w)
+    return comp
+
+
+def test_restricted_reachability_lemma_on_full_battery(full_battery):
+    """The restricted-swap lemma on every battery curve and class beta with
+    n - beta != beta: a shifted divisor meeting the occupation hypothesis for
+    beta shares its component under the swaps inside the classes beta and
+    n - beta with every shifted divisor that agrees with it outside them."""
+    cases = 0
+    for curve in full_battery:
+        verts = [d.levels for d in enumerate_divisors(curve, DivisorKind.XI)]
+        for beta in curve.classes:
+            pair = {beta, curve.n - beta}
+            if len(pair) == 1:
+                continue
+            comp = _restricted_components(curve, verts, pair)
+            outside = {v: tuple(l for a, l in zip(curve.alphas, v) if a not in pair) for v in verts}
+            groups = {}  # levels outside the pair -> the components of that group
+            for v in verts:
+                groups.setdefault(outside[v], set()).add(comp[v])
+            for v in verts:
+                if difbeta_hypothesis(LeveledDivisor(curve, v, DivisorKind.XI), beta):
+                    cases += 1
+                    assert groups[outside[v]] == {comp[v]}, (curve.n, curve.alphas, beta, v)
+    assert cases == 12_208
+
+
+@pytest.mark.parametrize(
+    "n,alphas,reps",
+    [
+        (7, [1, 1, 2, 2, 4, 4], 81),
+        (7, [4, 2, 1, 4, 2, 1], 81),
+        (9, [1, 1, 1, 1, 5], 24),
+        (11, [1, 1, 4, 8, 8], 4),
+        (11, [1, 1, 1, 2, 2, 4], 84),
+    ],
+)
+def test_split_graphs_miss_the_occupation_hypothesis(n, alphas, reps):
+    """The curves of ``test_split_graphs``: no M-orbit representative meets the
+    hypothesis for any class.  The hypothesis is M-invariant, so no vertex does."""
+    curve = CurveSpec.from_alphas(n, alphas)
+    graph = build_graph(curve)
+    assert len(graph.reps) == reps
+    for levels in graph.reps:
+        xi = LeveledDivisor(curve, levels, DivisorKind.XI)
+        assert not any(difbeta_hypothesis(xi, beta) for beta in curve.classes)
