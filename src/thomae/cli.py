@@ -11,44 +11,18 @@ status: it reads each ``--curve``, ``--divisor`` and ``--family`` file once,
 passes the parsed documents to the command (the curve already built), puts
 ``version`` and ``inputs`` (the digests of the bytes read) before the fields,
 emits the report, and turns a refusal into one ``error:`` line on stderr.
+
+Loading this module imports nothing of the package but its version: each
+command imports the modules it calls, so ``--version`` and ``--help`` start
+no engine module and a count job only ``curve`` and ``divisors``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
-from .curve import CurveError, CurveSpec, curve_from_dict, read_document
-from .denominators import (
-    EvalMode,
-    degree,
-    evaluate,
-    full_denominator,
-    matrix_to_dict,
-    pmt_denominator,
-    pmt_gamma_denominator,
-    reduce_matrix,
-)
-from .divisors import (
-    DivisorError,
-    DivisorKind,
-    LeveledDivisor,
-    count_divisors,
-    enumerate_divisors,
-)
-from .ffunctions import FFunctionError, f_chain
-from .operators import (
-    apply_M,
-    apply_N,
-    apply_N_beta,
-    apply_T,
-    apply_T_hat,
-)
-from .orbits import FamilySpec, build_graph, count_family
-from .verify import run_suite
 
 VALIDATION_ERROR = 1
 INVARIANT_VIOLATION = 2
@@ -56,6 +30,8 @@ INVARIANT_VIOLATION = 2
 
 def _emit(report: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
+        import json
+
         json.dump(report, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
     elif fmt == "csv":
@@ -94,8 +70,10 @@ def _emit_human(report: dict, indent: int = 0) -> None:
             sys.stdout.write(f"{pad}{key}: {value}\n")
 
 
-def _load_divisor(data, path: str, curve: CurveSpec) -> LeveledDivisor:
+def _load_divisor(data, path: str, curve):
     """The divisor on ``curve`` of the document ``data`` read from ``path``."""
+    from .divisors import DivisorError, DivisorKind, LeveledDivisor
+
     try:
         return LeveledDivisor(curve, data["levels"], DivisorKind(data["kind"]))
     except DivisorError as exc:
@@ -104,7 +82,7 @@ def _load_divisor(data, path: str, curve: CurveSpec) -> LeveledDivisor:
         raise DivisorError(f"{path}: divisor document needs 'kind' and 'levels'") from exc
 
 
-def _divisor_dict(div: LeveledDivisor) -> dict:
+def _divisor_dict(div) -> dict:
     return {"kind": div.kind.value, "levels": list(div.levels)}
 
 
@@ -112,6 +90,8 @@ def _divisor_dict(div: LeveledDivisor) -> dict:
 
 
 def _cmd_enumerate(args, curve):
+    from .divisors import DivisorKind, count_divisors, enumerate_divisors
+
     kind = DivisorKind(args.kind)
     if args.count_only:
         return {"count": count_divisors(curve, kind, avoid=args.avoid)}, None
@@ -127,41 +107,50 @@ def _parse_ints(text: str, sep: str, count: int, what: str) -> list[int]:
             return [int(p) for p in parts]
     except ValueError:
         pass
+    from .divisors import DivisorError
+
     raise DivisorError(f"cannot parse {what}")
 
 
-def _parse_call(spec: str, table: dict, what: str):
-    """``NAME`` or ``NAME:I,J,..`` as a function from ``table`` and its integer arguments."""
+def _parse_call(spec: str, module, table: dict, what: str):
+    """``NAME`` or ``NAME:I,J,..`` as the function of ``module`` that ``table``
+    names and its integer arguments."""
     name, _, arg = spec.partition(":")
     if name not in table:
+        from .divisors import DivisorError
+
         raise DivisorError(f"cannot parse {what}")
     function, arity = table[name]
-    return function, _parse_ints(arg, ",", arity, what)
+    return getattr(module, function), _parse_ints(arg, ",", arity, what)
 
 
-# the --op and --which names: name -> (function, number of integer arguments)
+# the --op and --which names: name -> (function name, number of integer arguments)
 _OPERATORS = {
-    "N": (apply_N, 0),
-    "Nbeta": (apply_N_beta, 1),
-    "M": (apply_M, 1),
-    "T": (apply_T, 2),
-    "That": (apply_T_hat, 2),
+    "N": ("apply_N", 0),
+    "Nbeta": ("apply_N_beta", 1),
+    "M": ("apply_M", 1),
+    "T": ("apply_T", 2),
+    "That": ("apply_T_hat", 2),
 }
 _DENOMINATORS = {
-    "h": (full_denominator, 0),
-    "g": (pmt_denominator, 1),
-    "q": (pmt_gamma_denominator, 2),
+    "h": ("full_denominator", 0),
+    "g": ("pmt_denominator", 1),
+    "q": ("pmt_gamma_denominator", 2),
 }
 
 
 def _cmd_apply(args, curve, divisor):
+    from . import operators
+
     div = _load_divisor(divisor, args.divisor, curve)
-    operator, ints = _parse_call(args.op, _OPERATORS, f"operator {args.op!r}")
+    operator, ints = _parse_call(args.op, operators, _OPERATORS, f"operator {args.op!r}")
     image = operator(div, *ints)
     return {"op": args.op, "result": _divisor_dict(image)}, [list(image.levels)]
 
 
 def _cmd_ftable(args):
+    from .ffunctions import f_chain
+
     table = f_chain(args.n, args.d)
     fields = {"n": table.n, "d": table.d, "values": list(table.values), "c": table.cmax}
     chain = ";".join(f"{l},{v}" for l, v in enumerate(table.values))
@@ -169,8 +158,11 @@ def _cmd_ftable(args):
 
 
 def _cmd_denominator(args, curve, divisor):
+    from . import denominators
+    from .denominators import EvalMode, degree, evaluate, matrix_to_dict, reduce_matrix
+
     div = _load_divisor(divisor, args.divisor, curve)
-    build, ints = _parse_call(args.which, _DENOMINATORS, f"--which {args.which!r}")
+    build, ints = _parse_call(args.which, denominators, _DENOMINATORS, f"--which {args.which!r}")
     matrix = build(div, *ints)
     if args.reduce:
         matrix = reduce_matrix(matrix)
@@ -185,6 +177,9 @@ def _cmd_denominator(args, curve, divisor):
 
 
 def _cmd_orbits(args, curve):
+    from .curve import read_document
+    from .orbits import build_graph
+
     graph = build_graph(curve, max_vertices=args.max_vertices)
     sizes = graph.component_sizes()
     fields = {
@@ -202,6 +197,11 @@ def _cmd_orbits(args, curve):
 
 
 def _cmd_counts(args, family):
+    from dataclasses import asdict
+
+    from .divisors import DivisorError
+    from .orbits import FamilySpec, count_family
+
     try:
         family = FamilySpec(tuple(family["c"]), tuple(family["d"]))
     except (KeyError, TypeError) as exc:
@@ -221,6 +221,11 @@ def _cmd_counts(args, family):
 
 
 def _cmd_verify(args, curve):
+    from dataclasses import asdict
+
+    from .divisors import DivisorError
+    from .verify import run_suite
+
     if curve.n > args.max_n:
         raise DivisorError(f"curve has n = {curve.n} above --max-n = {args.max_n}")
     checks = None if args.suite == "all" else args.suite.split(",")
@@ -282,8 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusals() -> tuple:
+    """The errors ``main`` turns into one ``error:`` line.  An except clause
+    evaluates its classes only once an exception reaches it, so a job that
+    raises nothing never imports ``ffunctions`` for its error class."""
+    from .curve import CurveError
+    from .divisors import DivisorError
+    from .ffunctions import FFunctionError
+
+    return CurveError, DivisorError, FFunctionError, OSError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .curve import curve_from_dict, read_document
+
     try:
         documents, inputs = {}, {}
         for name in args.inputs:
@@ -292,7 +310,7 @@ def main(argv=None) -> int:
             documents["curve"] = curve_from_dict(documents["curve"])
         fields, csv_rows = args.func(args, **documents)
         _emit({"version": __version__, "inputs": inputs, **fields}, args.format, csv_rows)
-    except (CurveError, DivisorError, FFunctionError, OSError) as exc:
+    except _refusals() as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_ERROR
     return INVARIANT_VIOLATION if fields.get("findings") else 0

@@ -13,14 +13,24 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CurveError(ValueError):
     """Raised for structurally unusable curve input (parse errors and such)."""
+
+
+def _fraction(value) -> Fraction:
+    """``value`` as an exact rational; ``fractions`` is loaded by the first z-value
+    built, not by a job that has none."""
+    from fractions import Fraction
+
+    return Fraction(value)
 
 
 def s_value(alpha: int, k: int, n: int) -> int:
@@ -70,7 +80,7 @@ class CurveSpec:
     ) -> "CurveSpec":
         pts = []
         for i, a in enumerate(alphas):
-            lam = Fraction(lambdas[i]) if lambdas is not None else None
+            lam = _fraction(lambdas[i]) if lambdas is not None else None
             lab = labels[i] if labels is not None else None
             pts.append(BranchPoint(i, a, lab, lam))
         return cls(n, tuple(pts))
@@ -150,17 +160,22 @@ class CurveSpec:
         """All invariant violations, empty when the curve is usable."""
         problems = []
         n = self.n
+        if not is_int(n):
+            return [f"n must be an integer, got {n!r}"]
         if n < 2:
             problems.append(f"n must be at least 2, got {n}")
             return problems
         for p in self.points:
-            if not 1 <= p.alpha <= n - 1:
+            if not is_int(p.alpha):
+                problems.append(f"point {p.index}: alpha must be an integer, got {p.alpha!r}")
+            elif not 1 <= p.alpha <= n - 1:
                 problems.append(f"point {p.index}: alpha {p.alpha} outside 1..{n - 1}")
             elif gcd(p.alpha, n) != 1:
                 problems.append(f"point {p.index}: alpha {p.alpha} not coprime to {n}")
-        total = sum(p.alpha for p in self.points)
-        if total % n != 0:
-            problems.append(f"exponent sum {total} is not 0 mod {n}")
+        if all(is_int(p.alpha) for p in self.points):
+            total = sum(p.alpha for p in self.points)
+            if total % n != 0:
+                problems.append(f"exponent sum {total} is not 0 mod {n}")
         if self.point_count < 3:
             problems.append(f"need at least 3 branch points, got {self.point_count}")
         lams = [p.lam for p in self.points if p.lam is not None]
@@ -180,7 +195,7 @@ class CurveSpec:
         if len(lambdas) != self.point_count:
             raise CurveError("wrong number of z-values")
         pts = tuple(
-            BranchPoint(p.index, p.alpha, p.label, Fraction(v))
+            BranchPoint(p.index, p.alpha, p.label, _fraction(v))
             for p, v in zip(self.points, lambdas)
         )
         return CurveSpec(self.n, pts)
@@ -191,10 +206,10 @@ def _parse_exact(value) -> Fraction:
     if isinstance(value, bool):
         raise CurveError(f"not a number: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return _fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CurveError(f"cannot parse {value!r} as an exact rational") from exc
     if isinstance(value, float):

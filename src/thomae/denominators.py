@@ -70,7 +70,10 @@ class ExponentMatrix:
         p = curve.point_count
         values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
-        for (i, j), v in (entries or {}).items():
+        for pair, v in (entries or {}).items():
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise DivisorError(f"key {pair!r} is not a pair of point indices")
+            i, j = pair
             _require_points(curve, i, j)
             if i == j:
                 raise DivisorError("diagonal pairs are not allowed")

@@ -15,8 +15,9 @@ folds multisets of partial sums (``_count_assignments``); listing files the
 second half's level tuples under their sums and joins every first half with
 the tuples completing it, so divisors come out in lexicographic order
 (``_list_assignments``).  The brute-force oracle keeps the condition test
-written out per k.  The per-class level-count matrices and their expansion
-into labeled points remain as a second, independent listing.
+written out per k and walks every level tuple once for both kinds.  The
+per-class level-count matrices and their expansion into labeled points
+remain as a second, independent listing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import getitem, lt
+from operator import add, getitem, lt, sub
 from typing import Iterator, Optional
 
 from .curve import CurveSpec, is_int
@@ -286,24 +287,47 @@ def enumerate_divisors(
         yield LeveledDivisor._unchecked(spec, levels, kind)
 
 
-def _meets_per_k(rows: list, levels: tuple[int, ...]) -> bool:
-    """Each (thresholds, target) row: exactly target of the levels lie below
-    the thresholds."""
-    for thr, target in rows:
-        if sum(map(lt, levels, thr)) != target:
-            return False
-    return True
+def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ...]]]:
+    """The valid level tuples of each kind, from one walk over all n^points
+    tuples in product order; the enumeration oracle.
+
+    Each prefix carries its vector of per-k counts of levels below
+    alpha * k mod n, built one point at a time.  Every level of the last point
+    is compared with what each kind's targets t_k - kind.shift still lack, and
+    the tuple is filed under the kind it meets (the targets differ, so at most
+    one).  The test is written out per k and shares nothing with the packing.
+    """
+    # below[i][l][k-1]: 1 when level l of point i lies below alpha_i * k mod n
+    below = [
+        [tuple(int(l < thr[i]) for thr in spec.thresholds) for l in range(spec.n)]
+        for i in range(spec.point_count)
+    ]
+    targets = [(kind, tuple(t - kind.shift for t in spec.t_values[1:])) for kind in DivisorKind]
+    if not below:  # the empty tuple meets the targets that are all 0
+        return {kind: [()] * (not any(target)) for kind, target in targets}
+    found: dict[DivisorKind, list] = {kind: [] for kind in DivisorKind}
+
+    def walk(levels: tuple[int, ...], counts: tuple[int, ...]) -> None:
+        steps = below[len(levels)]
+        if len(levels) < len(below) - 1:
+            for l, step in enumerate(steps):
+                walk(levels + (l,), tuple(map(add, counts, step)))
+            return
+        lacks = [(found[kind], tuple(map(sub, target, counts))) for kind, target in targets]
+        for l, step in enumerate(steps):
+            for out, lack in lacks:
+                if step == lack:
+                    out.append(levels + (l,))
+                    break
+
+    walk((), (0,) * (spec.n - 1))
+    return found
 
 
 def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivisor]:
-    """Filter of all n^points level assignments; the enumeration oracle.  Its
-    condition test is written out per k and shares nothing with the packing."""
-    rows = [(thr, t - kind.shift) for thr, t in zip(spec.thresholds, spec.t_values[1:])]
-    return [
-        LeveledDivisor(spec, levels, kind)
-        for levels in itertools.product(range(spec.n), repeat=spec.point_count)
-        if _meets_per_k(rows, levels)
-    ]
+    """The divisors of ``kind`` among all n^points level assignments, in product
+    order, by the oracle's walk (``_brute_force_levels``)."""
+    return [LeveledDivisor(spec, levels, kind) for levels in _brute_force_levels(spec)[kind]]
 
 
 STATE_BUDGET = 1_000_000  # partial sums in a half-table of a count; level tuples a listing stores

@@ -276,6 +276,7 @@ class FamilySpec:
 
     def curve(self, n: int) -> Optional[CurveSpec]:
         """The member curve at level n, or None when it degenerates."""
+        _require_int("n", n)
         if n < 2:
             return None
         spec = CurveSpec.from_alphas(n, list(self.c) + [(n - dv) % n for dv in self.d])

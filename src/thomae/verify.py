@@ -25,8 +25,8 @@ from .divisors import (
     DivisorError,
     DivisorKind,
     LeveledDivisor,
+    _brute_force_levels,
     _meets,
-    brute_force_divisors,
     enumerate_divisors,
     satisfies_conditions,
     specialty_index,
@@ -87,10 +87,11 @@ def _enumeration(run: _Run) -> Iterator[str]:
     spec = run.spec
     if spec.n ** spec.point_count > BRUTE_FORCE_LIMIT:
         return  # brute-force cross-check only affordable on small curves
+    brute = _brute_force_levels(spec)
     for kind in (DivisorKind.DELTA, DivisorKind.XI):
         found = run.xis if kind is DivisorKind.XI else enumerate_divisors(spec, kind)
         fast = sorted(d.levels for d in found)
-        slow = sorted(d.levels for d in brute_force_divisors(spec, kind))
+        slow = sorted(brute[kind])
         if fast != slow:
             yield (
                 f"kind={kind.value}: enumeration gives {len(fast)} "

@@ -243,7 +243,7 @@ def test_verify_clean_curve(capsys, tmp_path):
 
 
 def test_verify_finding_sets_exit_code(capsys, tmp_path, monkeypatch):
-    from thomae import cli as cli_module
+    from thomae import verify
     from thomae.verify import Finding
 
     curve = write(
@@ -251,7 +251,7 @@ def test_verify_finding_sets_exit_code(capsys, tmp_path, monkeypatch):
         {"n": 3, "points": [{"alpha": 1}, {"alpha": 1}, {"alpha": 1}]},
     )
     monkeypatch.setattr(
-        cli_module, "run_suite", lambda *a, **k: (["fake"], [Finding("fake", "boom")])
+        verify, "run_suite", lambda *a, **k: (["fake"], [Finding("fake", "boom")])
     )
     code, out, _ = run(capsys, "verify", "--curve", curve)
     assert code == 2

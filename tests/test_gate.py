@@ -11,12 +11,14 @@ from thomae import (
     DivisorError,
     DivisorKind,
     ExponentMatrix,
+    FamilySpec,
     LeveledDivisor,
     apply_N_beta,
     apply_T,
     apply_T_hat,
     base_point_representative,
     count_divisors,
+    count_family,
     difbeta_hypothesis,
     difbeta_reachability,
     enumerate_divisors,
@@ -93,3 +95,27 @@ def test_integral_floats_and_booleans_are_refused_after_the_integer(name):
             args[k] = bad
             with pytest.raises((DivisorError, CurveError)):
                 call(*args)
+
+
+@pytest.mark.parametrize(
+    "n, alphas",
+    [(5.0, [1, 1, 1, 2]), (5, [1.0, 1, 1, 2]), ("5", [1, 1, 1, 2]), (5, ["1", 1, 1, 2]),
+     (True, [1, 1, 1]), (5, [True, 1, 1, 2])],
+)
+def test_non_integer_n_and_alpha_are_refused(n, alphas):
+    """A float, bool or str n or alpha is a CurveError problem line, never a bare
+    TypeError from gcd or a comparison."""
+    with pytest.raises(CurveError, match="must be an integer"):
+        CurveSpec.from_alphas(n, alphas).require_valid()
+
+
+@pytest.mark.parametrize("n", [5.0, "5", True])
+def test_count_family_refuses_non_integer_n(n):
+    with pytest.raises(DivisorError, match="n must be an integer"):
+        count_family(FamilySpec((1, 1, 1), (1, 1, 1)), [n])
+
+
+@pytest.mark.parametrize("key", [0, (0, 1, 2), (1,), "01"])
+def test_exponent_matrix_refuses_a_key_that_is_not_a_pair(key):
+    with pytest.raises(DivisorError, match="not a pair of point indices"):
+        ExponentMatrix(CURVE, {key: 1})
