@@ -99,6 +99,12 @@ class CurveSpec:
         return tuple(dict.fromkeys(self.alphas))
 
     @cached_property
+    def slot_bases(self) -> tuple[int, ...]:
+        """alpha_i * n per point: point i at level l sits in the slot with id
+        alpha_i * n + l, and slot ids sort like the (alpha, level) pairs."""
+        return tuple(a * self.n for a in self.alphas)
+
+    @cached_property
     def _class_sizes(self) -> Counter:
         return Counter(self.alphas)
 

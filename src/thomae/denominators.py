@@ -10,10 +10,13 @@ Three denominators are built here:
 * ``full_denominator`` (h): for every pair of (class, level) slots the unit
   exponent is c^(n)_d - f^(n)_d(l) with d = alpha * delta^{-1} mod n and l
   the twisted level offset; invariant under the negation and rotation
-  operators.  Each slot-pair exponent is cached per (n, slot, slot), so h
-  computes one exponent per new slot pair; the walk over the divisor's
-  slots in a caller-chosen order stays as the oracle that the order of
-  assembly never matters.
+  operators.  A slot is named by its id alpha * n + level, and ids sort like
+  the (alpha, level) pairs because level < n.  Each point pair reads the
+  exponent of its slot pair walked from the lower id to the higher, cached
+  per (n, id, id), so h computes one exponent per new slot pair.  The
+  oracle walks each slot pair from the slot earlier in a caller-chosen
+  order of the divisor's nonempty slots instead; the exponent is the same
+  walked either way, and passing a reversed order checks that it is.
 * ``pmt_denominator`` (g^beta) and ``pmt_gamma_denominator`` (q^{Q,gamma})
   are two-block products with one rule per point pair.  Let a(P) be the
   level a_{beta,alpha}(l) = alpha * beta^{-1} - 1 - l mod n that the
@@ -22,8 +25,10 @@ Three denominators are built here:
   are the points at level alpha * beta^{-1} of every class alpha and the
   lower leads those one level below; q keeps the leads of class gamma only
   and adjoins the base point Q to the lower leads.  An upper lead has
-  a = n-1 and a lower lead a = 0, so a pair of two leads of one block,
-  visited once, gets the top exponent n-1 whichever of its points is read.
+  a = n-1 and a lower lead a = 0, so a pair of two leads gets the top
+  exponent n-1 if they lie in one block and 0 if they do not, whichever of
+  its points is read.  No pair needs a sum, and a pair without a lead is 0,
+  so the kernels write only the leads' rows of the dense tuple.
 
 None of g, q, h is itself unchanged by an admissible base-pointed swap; all
 three move by the same matrix, returned by ``theta_relation_shift``, so the
@@ -83,13 +88,13 @@ class ExponentMatrix:
             seen.add(key)
             if not is_int(v):
                 raise DivisorError(f"pair {key} has exponent {v!r}, not an integer")
-            values[_pair_index(p, i, j)] = v
+            values[_pair_rows(p)[i][j]] = v
         self.curve = curve
         self._values = tuple(values)
 
     def unit_exponent(self, i: int, j: int) -> int:
         _require_points(self.curve, i, j)
-        return 0 if i == j else self._values[_pair_index(self.curve.point_count, i, j)]
+        return 0 if i == j else self._values[_pair_rows(self.curve.point_count)[i][j]]
 
     @property
     def unit_factor(self) -> int:
@@ -139,10 +144,11 @@ def degree(matrix: ExponentMatrix) -> int:
 
 
 @lru_cache(maxsize=None)
-def _slot_pair_exponent(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
-    """c^(n)_d - f^(n)_d(l) for the slot pair walked from ``first`` = (delta, r)
-    to ``second`` = (alpha, l'), where d = alpha * delta^{-1} and l = l' - r * d mod n."""
-    (delta, r), (alpha, lj) = first, second
+def _slot_pair_exponent(n: int, first: int, second: int) -> int:
+    """c^(n)_d - f^(n)_d(l) for the slot pair walked from the slot with id
+    ``first`` = delta * n + r to the one with id ``second`` = alpha * n + l',
+    where d = alpha * delta^{-1} and l = l' - r * d mod n."""
+    (delta, r), (alpha, lj) = divmod(first, n), divmod(second, n)
     d = (alpha * k_inverse(delta, n)) % n
     return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
 
@@ -151,11 +157,11 @@ def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> E
     """The full denominator h of a valid shifted divisor.
 
     Each point pair takes the unit exponent of its (class, level) slot pair,
-    walked from the lower slot to the higher and cached per (n, slot, slot).
-    ``slot_order`` instead walks the divisor's nonempty slots in the given
-    order, pairing every slot with itself and with each later one; that walk
-    is the oracle for the cached exponents and for order independence, which
-    the tests exercise by passing a reversed order.
+    walked from the lower slot id to the higher and cached per (n, id, id).
+    ``slot_order`` lists the divisor's nonempty slots as (class, level) pairs
+    and walks each slot pair from the slot earlier in that order instead;
+    that walk is the oracle for order independence, which the tests exercise
+    by passing a reversed order.
     """
     _require_xi(xi)
     if slot_order is not None:
@@ -169,10 +175,14 @@ def _pairs(p: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(p), 2))
 
 
-def _pair_index(p: int, i: int, j: int) -> int:
-    """Where the pair of the distinct points i and j, in either order, sits in ``_pairs(p)``."""
-    i, j = min(i, j), max(i, j)
-    return i * (2 * p - i - 3) // 2 + j - 1
+@lru_cache(maxsize=None)
+def _pair_rows(p: int) -> tuple[tuple[int, ...], ...]:
+    """rows[i][j]: where the pair of the points i and j, in either order, sits in
+    ``_pairs(p)``; rows[i][i] is one past the last pair."""
+    index = {pair: k for k, pair in enumerate(_pairs(p))}
+    return tuple(
+        tuple(index.get((min(i, j), max(i, j)), len(index)) for j in range(p)) for i in range(p)
+    )
 
 
 def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
@@ -185,66 +195,62 @@ def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
 def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
     n = curve.n
     return tuple(
-        _slot_pair_exponent(n, min(s, t), max(s, t))
-        for s, t in itertools.combinations(zip(curve.alphas, levels), 2)
+        _slot_pair_exponent(n, s, t) if s <= t else _slot_pair_exponent(n, t, s)
+        for s, t in itertools.combinations(map(add, curve.slot_bases, levels), 2)
     )
 
 
 def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
-    """h over the nonempty slots in the order given: each point pair takes the
-    exponent of its slot pair, walked from the earlier slot to the later."""
-    n, p = xi.curve.n, xi.curve.point_count
-    sets = xi.sets()
-    if sorted(slots) != sorted(sets):
+    """h with each point pair's slot pair walked from the slot earlier in
+    ``slots``, which must list exactly the nonempty (class, level) slots."""
+    curve, n = xi.curve, xi.curve.n
+    if sorted(slots) != sorted(set(zip(curve.alphas, xi.levels))):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
-    values = [0] * len(_pairs(p))
-    for i, first in enumerate(slots):
-        for second in slots[i:]:
-            coef = _slot_pair_exponent(n, first, second)
-            pairs = (itertools.combinations(sets[first], 2) if first == second
-                     else itertools.product(sets[first], sets[second]))
-            for x, y in pairs:
-                values[_pair_index(p, x, y)] = coef
-    return _matrix(xi.curve, tuple(values))
+    rank = {alpha * n + level: k for k, (alpha, level) in enumerate(slots)}
+    return _matrix(curve, tuple(
+        _slot_pair_exponent(n, s, t) if rank[s] <= rank[t] else _slot_pair_exponent(n, t, s)
+        for s, t in itertools.combinations(map(add, curve.slot_bases, xi.levels), 2)
+    ))
 
 
-def _two_blocks(top: int, a: tuple[int, ...], upper: list, lower: list) -> tuple[int, ...]:
-    """Upper leads paired with every other point P at a(P), lower leads at
-    n-1-a(P), each point pair visited once."""
-    out = []
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            v = a[j] if upper[i] else a[i] if upper[j] else 0
-            if lower[i]:
-                v += top - a[j]
-            elif lower[j]:
-                v += top - a[i]
-            out.append(v)
+def _two_blocks(
+    curve: CurveSpec, a: tuple[int, ...], classes: tuple[int, ...], q_id: Optional[int] = None
+) -> tuple[int, ...]:
+    """The two-block dense tuple whose leads are the points of ``classes`` at
+    a = n-1 (upper) and at a = 0 (lower), with the base point ``q_id``, when
+    given, adjoined to the lower leads.  Only the leads' rows are written."""
+    top, p = curve.n - 1, curve.point_count
+    rows, out = _pair_rows(p), [0] * (len(_pairs(p)) + 1)
+    for i, (alpha, v) in enumerate(zip(curve.alphas, a)):
+        if i == q_id or v == 0 and alpha in classes:
+            for k, w in zip(rows[i], a):
+                out[k] = top - w
+        elif v == top and alpha in classes:
+            for k, w in zip(rows[i], a):
+                out[k] = w
+    out.pop()  # where rows[i][i] pointed
     return tuple(out)
 
 
 def _g(curve: CurveSpec, levels: tuple[int, ...], beta: int) -> tuple[int, ...]:
-    top = curve.n - 1
-    a = _negate(_tables(curve.n, curve.alphas), levels, beta)
-    return _two_blocks(top, a, [v == top for v in a], [v == 0 for v in a])
+    return _two_blocks(curve, _negate(_tables(curve.n, curve.alphas), levels, beta), curve.classes)
 
 
 def _q(curve: CurveSpec, levels: tuple[int, ...], q_id: int, gamma: int) -> tuple[int, ...]:
-    top = curve.n - 1
     a = _negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])
-    upper = [alpha == gamma and v == top for alpha, v in zip(curve.alphas, a)]
-    lower = [alpha == gamma and v == 0 for alpha, v in zip(curve.alphas, a)]
-    lower[q_id] = True
-    return _two_blocks(top, a, upper, lower)
+    return _two_blocks(curve, a, (gamma,), q_id)
 
 
 def _shift(curve: CurveSpec, levels: tuple[int, ...], q_id: int, r_id: int) -> tuple[int, ...]:
     top, p = curve.n - 1, curve.point_count
-    out = [0] * len(_pairs(p))
-    for s, v in enumerate(_negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])):
-        if s not in (q_id, r_id):
-            out[_pair_index(p, q_id, s)] = 2 * v - top
-            out[_pair_index(p, r_id, s)] = top - 2 * v
+    rows, out = _pair_rows(p), [0] * (len(_pairs(p)) + 1)
+    a = _negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])
+    for k, v in zip(rows[q_id], a):
+        out[k] = 2 * v - top
+    for k, v in zip(rows[r_id], a):
+        out[k] = top - 2 * v
+    out[rows[q_id][r_id]] = 0  # the pair {Q, R} itself does not move
+    out.pop()
     return tuple(out)
 
 

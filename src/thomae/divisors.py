@@ -42,6 +42,13 @@ def _require_int(what: str, value) -> None:
         raise DivisorError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_cap(what: str, value) -> None:
+    """A cap on work is a non-negative integer."""
+    _require_int(what, value)
+    if value < 0:
+        raise DivisorError(f"{what} must be non-negative, got {value}")
+
+
 def _require_points(spec: CurveSpec, *points) -> None:
     """Each of ``points`` is the integer index of a point of ``spec``."""
     for p in points:
@@ -139,8 +146,8 @@ def specialty_index(divisor: LeveledDivisor) -> int:
     """
     spec, levels = divisor.curve, divisor.levels
     return sum(
-        max(spec.t_value(k) - 1 - sum(map(lt, levels, thr)), 0)
-        for k, thr in enumerate(spec.thresholds, 1)
+        max(t - 1 - sum(map(lt, levels, thr)), 0)
+        for t, thr in zip(spec.t_values[1:], spec.thresholds)
     )
 
 
@@ -292,10 +299,11 @@ def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ..
     tuples in product order; the enumeration oracle.
 
     Each prefix carries its vector of per-k counts of levels below
-    alpha * k mod n, built one point at a time.  Every level of the last point
-    is compared with what each kind's targets t_k - kind.shift still lack, and
-    the tuple is filed under the kind it meets (the targets differ, so at most
-    one).  The test is written out per k and shares nothing with the packing.
+    alpha * k mod n, built one point at a time.  The last point's levels are
+    filed once by what a prefix's counts must be for them to complete each
+    kind's targets t_k - kind.shift, and every full prefix looks its counts
+    up there (the targets differ, so a tuple meets at most one kind).  The
+    test is written out per k and shares nothing with the packing.
     """
     # below[i][l][k-1]: 1 when level l of point i lies below alpha_i * k mod n
     below = [
@@ -306,19 +314,18 @@ def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ..
     if not below:  # the empty tuple meets the targets that are all 0
         return {kind: [()] * (not any(target)) for kind, target in targets}
     found: dict[DivisorKind, list] = {kind: [] for kind in DivisorKind}
+    completes: dict[tuple[int, ...], list] = {}  # prefix counts -> (kind's list, last level)
+    for l, step in enumerate(below[-1]):
+        for kind, target in targets:
+            completes.setdefault(tuple(map(sub, target, step)), []).append((found[kind], l))
 
     def walk(levels: tuple[int, ...], counts: tuple[int, ...]) -> None:
-        steps = below[len(levels)]
         if len(levels) < len(below) - 1:
-            for l, step in enumerate(steps):
+            for l, step in enumerate(below[len(levels)]):
                 walk(levels + (l,), tuple(map(add, counts, step)))
             return
-        lacks = [(found[kind], tuple(map(sub, target, counts))) for kind, target in targets]
-        for l, step in enumerate(steps):
-            for out, lack in lacks:
-                if step == lack:
-                    out.append(levels + (l,))
-                    break
+        for out, l in completes.get(counts, ()):
+            out.append(levels + (l,))
 
     walk((), (0,) * (spec.n - 1))
     return found

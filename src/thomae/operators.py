@@ -43,10 +43,11 @@ def b_value(beta: int, alpha: int, l: int, n: int) -> int:
 
 
 class _Tables:
-    """One curve's level maps, built on first call: map[i][l] is point i's image
-    at level l.  rotations(k mod n) is M^k, negations(beta) is N_beta for any
-    unit beta, reflections(beta) is T's b-reflection for a base point of class
-    beta; expected(q)[j][r] is R's partner level with Q at level j, -1 at Q."""
+    """One curve's level maps: map[i][l] is point i's image at level l.
+    rotations(k mod n) is M^k, negations(beta) is N_beta for any unit beta and
+    reflections(beta) is T's b-reflection for a base point of class beta, each
+    built on first call; expected[q][j][r], built with the tables, is R's
+    partner level with Q at level j, -1 at Q."""
 
     def __init__(self, n: int, alphas: tuple[int, ...]):
         self.n, self.alphas, self.points = n, alphas, range(len(alphas))
@@ -54,7 +55,7 @@ class _Tables:
         self.rotations = cache(lambda k: self._maps(lambda a, l: l - a * k))
         self.negations = cache(lambda b: self._maps(lambda a, l: a_value(b, a, l, n)))
         self.reflections = cache(lambda b: self._maps(lambda a, l: b_value(b, a, l, n)))
-        self.expected = cache(self._expected)
+        self.expected = tuple(map(self._expected, self.points))
 
     def _maps(self, rule) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(rule(a, l) % self.n for l in range(self.n)) for a in self.alphas)
@@ -98,7 +99,7 @@ def _swap_hat(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
 
 
 def _partners(t: _Tables, levels: tuple, q: int) -> tuple[int, ...]:
-    return tuple(compress(t.points, map(eq, t.expected(q)[levels[q]], levels)))
+    return tuple(compress(t.points, map(eq, t.expected[q][levels[q]], levels)))
 
 
 def _group(t: _Tables, levels: tuple, g: "GroupElement") -> tuple:
@@ -157,7 +158,7 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     t = _tables_of(xi)
     if xi.levels[q_id] != 0:
         raise AdmissibilityError("base point not at level 0", q_id, xi.levels[q_id], 0)
-    expected = t.expected(q_id)[0][r_id]
+    expected = t.expected[q_id][0][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
     return _image(xi, _swap(t, xi.levels, q_id, r_id))
@@ -167,7 +168,7 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
     _require_points(xi.curve, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
-    return xi.levels[r_id] == _tables_of(xi).expected(q_id)[xi.levels[q_id]][r_id]
+    return xi.levels[r_id] == _tables_of(xi).expected[q_id][xi.levels[q_id]][r_id]
 
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
@@ -187,7 +188,7 @@ def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     """
     _require_swap_pair(xi, q_id, r_id)
     t = _tables_of(xi)
-    expected = t.expected(q_id)[xi.levels[q_id]][r_id]
+    expected = t.expected[q_id][xi.levels[q_id]][r_id]
     if xi.levels[r_id] != expected:
         raise AdmissibilityError("swap partner at wrong level", r_id, xi.levels[r_id], expected)
     return _image(xi, _swap_hat(t, xi.levels, q_id, r_id))

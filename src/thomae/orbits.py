@@ -33,6 +33,7 @@ from .divisors import (
     LeveledDivisor,
     _allowed,
     _list_assignments,
+    _require_cap,
     _require_int,
     count_base_point_free,
     count_divisors,
@@ -175,6 +176,8 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     generators, so the graph is symmetric-closed.
     """
     spec.require_valid()
+    if max_vertices is not None:
+        _require_cap("max_vertices", max_vertices)
     reps = tuple(_list_assignments(spec, DivisorKind.XI, _allowed(spec, DivisorKind.XI, 0)))
     if max_vertices is not None and spec.n * len(reps) > max_vertices:
         raise DivisorError(

@@ -7,6 +7,11 @@ default, and is the one place a check name is written: ``run_suite`` pairs
 every reproducer with the name it looked the check up by.  The sweep never
 aborts early, so one run reports everything that is wrong.  The CLI exposes
 this as the ``verify`` command and turns findings into exit status 2.
+
+The shifted divisors are listed once per run, as level tuples (``_Run.xis``),
+and the checks call the integer kernels of ``operators`` and
+``denominators`` on them.  A ``LeveledDivisor`` is built only where a public
+function takes one: the slot-walk oracle and the evaluation check.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .divisors import (
     LeveledDivisor,
     _brute_force_levels,
     _meets,
+    _require_cap,
     enumerate_divisors,
     satisfies_conditions,
     specialty_index,
@@ -64,11 +70,12 @@ class _Run:
     max_vertices: int
 
     @cached_property
-    def xis(self) -> list[LeveledDivisor]:
-        """The shifted divisors, enumerated once per run and refused above the cap."""
+    def xis(self) -> list[tuple[int, ...]]:
+        """The level tuples of the shifted divisors, enumerated once per run and
+        refused above the cap."""
         out = []
         for div in enumerate_divisors(self.spec, DivisorKind.XI):
-            out.append(div)
+            out.append(div.levels)
             if len(out) > self.max_vertices:
                 raise DivisorError(
                     f"more than {self.max_vertices} divisors; raise --max-vertices"
@@ -89,8 +96,10 @@ def _enumeration(run: _Run) -> Iterator[str]:
         return  # brute-force cross-check only affordable on small curves
     brute = _brute_force_levels(spec)
     for kind in (DivisorKind.DELTA, DivisorKind.XI):
-        found = run.xis if kind is DivisorKind.XI else enumerate_divisors(spec, kind)
-        fast = sorted(d.levels for d in found)
+        if kind is DivisorKind.XI:
+            fast = sorted(run.xis)
+        else:
+            fast = sorted(d.levels for d in enumerate_divisors(spec, kind))
         slow = sorted(brute[kind])
         if fast != slow:
             yield (
@@ -103,14 +112,18 @@ def _enumeration(run: _Run) -> Iterator[str]:
 
 def _nonspecial_equivalence(run: _Run) -> Iterator[str]:
     spec = run.spec
-    if spec.n ** spec.point_count > BRUTE_FORCE_LIMIT:
+    n, p = spec.n, spec.point_count
+    if n ** p > BRUTE_FORCE_LIMIT:
         return
-    # degree g means exponents n-1-l summing to g
-    level_sum = spec.point_count * (spec.n - 1) - spec.genus()
-    for levels in itertools.product(range(spec.n), repeat=spec.point_count):
-        if sum(levels) != level_sum:
+    # degree g means exponents n-1-l summing to g: the first p-1 levels run in
+    # product order, and the last is what they lack of the level sum
+    level_sum = p * (n - 1) - spec.genus()
+    for head in itertools.product(range(n), repeat=p - 1) if p else ():
+        last = level_sum - sum(head)
+        if not 0 <= last < n:
             continue
-        div = LeveledDivisor(spec, levels, DivisorKind.DELTA)
+        levels = head + (last,)
+        div = LeveledDivisor._unchecked(spec, levels, DivisorKind.DELTA)
         if (specialty_index(div) == 0) != satisfies_conditions(div):
             yield f"levels={levels}: index {specialty_index(div)} vs conditions"
 
@@ -120,8 +133,7 @@ def _operators(run: _Run) -> Iterator[str]:
     n, xi_shift = spec.n, DivisorKind.XI.shift
     t = _tables(n, spec.alphas)
     negations = [(beta, GroupElement.negation(n, beta)) for beta in spec.classes]
-    for xi in run.xis:
-        levels = xi.levels
+    for levels in run.xis:
         for beta, element in negations:
             image = _negate(t, levels, beta)
             if not _meets(spec, image, xi_shift):
@@ -159,13 +171,12 @@ def _denominators(run: _Run) -> Iterator[str]:
     # each h, g and q is built once and looked up for every image that reaches it
     hs, gs, qs = (cache(partial(kernel, spec)) for kernel in (_h, _g, _q))
     degrees = set()
-    for xi in run.xis:
-        levels = xi.levels
+    for levels in run.xis:
         h = hs(levels)
-        whole = _matrix(spec, h)
-        degrees.add(degree(whole))
-        slots = sorted(xi.sets(), reverse=True)
-        if full_denominator(xi, slot_order=slots) != whole:
+        degrees.add(degree(_matrix(spec, h)))
+        xi = LeveledDivisor._unchecked(spec, levels, DivisorKind.XI)
+        slots = sorted(set(zip(spec.alphas, levels)), reverse=True)
+        if full_denominator(xi, slot_order=slots)._values != h:
             yield f"assembly order changes h at {levels}"
         if hs(_rotate(t, levels, 1)) != h:
             yield f"h not rotation invariant at {levels}"
@@ -196,21 +207,21 @@ def _evaluation(run: _Run, trials: int = 20) -> Iterator[str]:
     rng = random.Random(run.seed)
     if not run.xis:
         return
-    xi = run.xis[0]
+    levels = run.xis[0]
     for trial in range(trials):
         lams = _distinct_rationals(rng, spec.point_count)
         cur = spec.with_lambdas(lams)
-        div = LeveledDivisor(cur, xi.levels, DivisorKind.XI)
+        div = LeveledDivisor._unchecked(cur, levels, DivisorKind.XI)
         h = full_denominator(div)
         base = evaluate(h, EvalMode.EXACT_RATIONAL)
         shiftc = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         shifted = cur.with_lambdas([v + shiftc for v in lams])
-        hs = full_denominator(LeveledDivisor(shifted, xi.levels, DivisorKind.XI))
+        hs = full_denominator(LeveledDivisor._unchecked(shifted, levels, DivisorKind.XI))
         if evaluate(hs, EvalMode.EXACT_RATIONAL) != base:
             yield f"translation changed the value (trial {trial})"
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = cur.with_lambdas([v * scale for v in lams])
-        hsc = full_denominator(LeveledDivisor(scaled, xi.levels, DivisorKind.XI))
+        hsc = full_denominator(LeveledDivisor._unchecked(scaled, levels, DivisorKind.XI))
         if evaluate(hsc, EvalMode.EXACT_RATIONAL) != base * scale ** degree(h):
             yield f"scaling law fails (trial {trial})"
 
@@ -242,6 +253,7 @@ def run_suite(
 ) -> tuple[list[str], list[Finding]]:
     """Run the named checks (all by default); returns (checks run, findings)."""
     spec.require_valid()
+    _require_cap("max_vertices", max_vertices)
     names = list(_CHECKS) if checks is None else list(checks)
     unknown = [name for name in names if name not in _CHECKS]
     if unknown:

@@ -311,6 +311,9 @@ def test_csv_format_counts(capsys, tmp_path):
         ["verify", "--suite", "bogus"],
         ["verify", "--suite", "operators,operators"],
         ["verify", "--max-vertices", "0"],
+        ["verify", "--max-vertices", "-1"],
+        ["verify", "--max-vertices", "-1", "--suite", "genus-sum"],
+        ["orbits", "--max-vertices", "-5"],
         ["enumerate", "--avoid", "9"],
         ["counts", "--family", "@float_family", "--n-range", "2..5"],
         ["counts", "--family", "@bool_family", "--n-range", "2..5"],
@@ -347,6 +350,7 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
         "denominator": ["--curve", curve, "--divisor", divisor],
         "verify": ["--curve", curve],
         "enumerate": ["--curve", curve],
+        "orbits": ["--curve", curve],
     }
     # argparse keeps a flag's last value, so a case's own inputs override the defaults
     given = [

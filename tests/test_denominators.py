@@ -29,6 +29,7 @@ from thomae import (
     t_admissible,
     theta_relation_shift,
 )
+from thomae import denominators
 
 
 def xi_of(curve, exponents):
@@ -198,6 +199,49 @@ def test_two_block_denominators_match_slot_blocks(small_battery):
                         assert entries(pmt_gamma_denominator(d, q, gamma)) == want
 
 
+def dense_two_blocks(curve, a, upper, lower):
+    """The two-block pair rule over all p(p-1)/2 point pairs: (i, j) gets a[j]
+    if i is an upper lead, else a[i] if j is, plus n-1-a[j] if i is a lower
+    lead, else n-1-a[i] if j is."""
+    top = curve.n - 1
+    out = {}
+    for i, j in itertools.combinations(range(curve.point_count), 2):
+        v = a[j] if upper[i] else a[i] if upper[j] else 0
+        if lower[i]:
+            v += top - a[j]
+        elif lower[j]:
+            v += top - a[i]
+        if v:
+            out[i, j] = v
+    return out
+
+
+def test_lead_sparse_blocks_match_the_dense_rule(full_battery):
+    """g^beta for every class beta and q^{Q,gamma} for every level-0 Q and
+    every class gamma, on every shifted divisor of the battery."""
+    cases = 0
+    for curve in full_battery:
+        top = curve.n - 1
+        for xi in enumerate_divisors(curve, DivisorKind.XI):
+            for beta in curve.classes:
+                a = apply_N_beta(xi, beta).levels
+                upper, lower = [v == top for v in a], [v == 0 for v in a]
+                want = dense_two_blocks(curve, a, upper, lower)
+                assert entries(pmt_denominator(xi, beta)) == want
+            for q in range(curve.point_count):
+                if xi.levels[q] != 0:
+                    continue
+                a = apply_N_beta(xi, curve.alphas[q]).levels
+                for gamma in curve.classes:
+                    upper = [g == gamma and v == top for g, v in zip(curve.alphas, a)]
+                    lower = [g == gamma and v == 0 for g, v in zip(curve.alphas, a)]
+                    lower[q] = True
+                    want = dense_two_blocks(curve, a, upper, lower)
+                    assert entries(pmt_gamma_denominator(xi, q, gamma)) == want
+                    cases += 1
+    assert cases > 10_000
+
+
 def test_empty_lead_sets_leave_only_base_blocks():
     # when both distinguished class-gamma slots are unoccupied, everything
     # comes from the adjoined base point, paired at n-1-a(l) per slot
@@ -255,6 +299,44 @@ def test_full_denominator_beyond_the_battery():
         h = full_denominator(d)
         assert h == full_denominator(d, slot_order=sorted(d.sets()))
         assert h == full_denominator(d, slot_order=sorted(d.sets(), reverse=True))
+
+
+def test_slot_walk_refuses_an_order_that_is_not_the_nonempty_slots():
+    curve = CurveSpec.from_alphas(5, [1, 1, 1, 2])
+    xi = LeveledDivisor(curve, (0, 0, 2, 1), DivisorKind.XI)
+    slots = sorted(xi.sets())
+    assert slots == [(1, 0), (1, 2), (2, 1)]
+    for order in (
+        slots[1:],  # a slot missing
+        slots + [(1, 0)],  # a slot repeated
+        slots + [(2, 3)],  # a slot no point occupies
+        slots[:2] + [(1, 6)],  # unoccupied; alpha * n + level names (2, 1) as well
+    ):
+        with pytest.raises(DivisorError, match="exactly the nonempty slots"):
+            full_denominator(xi, slot_order=order)
+
+
+def test_slot_walk_in_a_shuffled_order_gives_h(full_battery):
+    rng = random.Random(20)
+    for curve in full_battery:
+        for xi in enumerate_divisors(curve, DivisorKind.XI):
+            slots = list(xi.sets())
+            rng.shuffle(slots)
+            assert full_denominator(xi, slot_order=slots) == full_denominator(xi)
+
+
+def test_h_walks_each_slot_pair_from_the_lower_slot(monkeypatch, small_battery):
+    """The exponent is the same walked either way, so an exponent that tells the
+    two directions apart is put in its place: h is then the walk in ascending
+    slot order, and differs from the reversed walk wherever two slots meet."""
+    monkeypatch.setattr(denominators, "_slot_pair_exponent", lambda n, s, t: 1000 * s + t)
+    differs = 0
+    for curve in small_battery:
+        for xi in enumerate_divisors(curve, DivisorKind.XI):
+            h = full_denominator(xi)
+            assert h == full_denominator(xi, slot_order=sorted(xi.sets()))
+            differs += h != full_denominator(xi, slot_order=sorted(xi.sets(), reverse=True))
+    assert differs > 100
 
 
 def test_swap_shift_law(small_battery):

@@ -29,6 +29,7 @@ from thomae import (
     t_hat_partners,
     theta_relation_shift,
 )
+from thomae import build_graph, orbits, run_suite
 from thomae.curve import is_int
 
 CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
@@ -119,3 +120,27 @@ def test_count_family_refuses_non_integer_n(n):
 def test_exponent_matrix_refuses_a_key_that_is_not_a_pair(key):
     with pytest.raises(DivisorError, match="not a pair of point indices"):
         ExponentMatrix(CURVE, {key: 1})
+
+
+@pytest.mark.parametrize("cap", [-1, -5, 1.5, 2.0, True, "100", None])
+def test_vertex_caps_are_non_negative_integers(monkeypatch, cap):
+    """run_suite and build_graph refuse a bad max_vertices before any listing;
+    None is build_graph's "no cap" and is refused by run_suite."""
+
+    def listing(*args):
+        raise AssertionError("listed divisors before checking the cap")
+
+    monkeypatch.setattr(orbits, "_list_assignments", listing)
+    with pytest.raises(DivisorError, match="max_vertices must be"):
+        run_suite(CURVE, ["genus-sum"], max_vertices=cap)
+    if cap is not None:
+        with pytest.raises(DivisorError, match="max_vertices must be"):
+            build_graph(CURVE, max_vertices=cap)
+
+
+def test_a_vertex_cap_of_zero_or_none():
+    assert run_suite(CURVE, ["genus-sum"], max_vertices=0) == (["genus-sum"], [])
+    with pytest.raises(DivisorError, match="exceed the requested cap 0"):
+        build_graph(CURVE, max_vertices=0)
+    uncapped = build_graph(CURVE).vertex_count
+    assert uncapped == build_graph(CURVE, max_vertices=uncapped).vertex_count > 0

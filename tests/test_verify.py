@@ -1,6 +1,8 @@
 import itertools
 from collections import Counter
 
+import pytest
+
 from thomae import (
     CurveSpec,
     DivisorKind,
@@ -46,6 +48,29 @@ def test_nonspecial_equivalence_examines_every_degree_g_divisor(monkeypatch):
         levels
         for levels in itertools.product(range(spec.n), repeat=spec.point_count)
         if LeveledDivisor(spec, levels, DivisorKind.DELTA).degree == spec.genus()
+    ]
+
+
+@pytest.mark.parametrize("alphas", [[], [2], [1, 1], [1, 1, 1]])
+def test_nonspecial_equivalence_derives_the_last_level_on_short_curves(monkeypatch, alphas):
+    """The check walks p-1 levels and derives the last from the level sum; with
+    fewer than three points it still examines exactly the tuples of that sum."""
+    examined = []
+    original = verify.specialty_index
+
+    def recording(div):
+        examined.append(div.levels)
+        return original(div)
+
+    monkeypatch.setattr(verify, "specialty_index", recording)
+    spec = CurveSpec.from_alphas(3, alphas)
+    list(verify._nonspecial_equivalence(verify._Run(spec, 0, 10)))
+    level_sum = spec.point_count * (spec.n - 1) - spec.genus()
+    # a finding's message reads the index of its tuple a second time
+    assert list(dict.fromkeys(examined)) == [
+        levels
+        for levels in itertools.product(range(spec.n), repeat=spec.point_count)
+        if sum(levels) == level_sum
     ]
 
 
