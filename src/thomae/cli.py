@@ -160,6 +160,7 @@ def _cmd_ftable(args):
 def _cmd_denominator(args, curve, divisor):
     from . import denominators
     from .denominators import EvalMode, degree, evaluate, matrix_to_dict, reduce_matrix
+    from .divisors import DivisorError
 
     div = _load_divisor(divisor, args.divisor, curve)
     build, ints = _parse_call(args.which, denominators, _DENOMINATORS, f"--which {args.which!r}")
@@ -169,7 +170,11 @@ def _cmd_denominator(args, curve, divisor):
     pairs = matrix_to_dict(matrix)
     fields = {"which": args.which, "denominator": pairs, "degree": degree(matrix)}
     if args.evaluate == "exact":
-        fields["value"] = str(evaluate(matrix, EvalMode.EXACT_RATIONAL))
+        value = evaluate(matrix, EvalMode.EXACT_RATIONAL)
+        try:
+            fields["value"] = str(value)
+        except ValueError:  # an integer past the interpreter's limit on written digits
+            raise DivisorError("the exact value has too many digits; try --evaluate log") from None
     elif args.evaluate == "log":
         logmag, sign = evaluate(matrix, EvalMode.LOG_ABS)
         fields["value"] = {"log_abs": logmag, "sign": sign}

@@ -25,19 +25,6 @@ class CurveError(ValueError):
     """Raised for structurally unusable curve input (parse errors and such)."""
 
 
-def _fraction(value) -> Fraction:
-    """``value`` as an exact rational; ``fractions`` is loaded by the first z-value
-    built, not by a job that has none."""
-    from fractions import Fraction
-
-    return Fraction(value)
-
-
-def s_value(alpha: int, k: int, n: int) -> int:
-    """Floor of alpha*k/n; works for any integer k."""
-    return (alpha * k) // n
-
-
 def k_inverse(beta: int, n: int) -> int:
     """The representative in {0..n-1} of the inverse of beta mod n."""
     if not (is_int(beta) and is_int(n)) or gcd(beta, n) != 1:
@@ -54,9 +41,8 @@ def e_factor(n: int) -> int:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One branch point: its stable index, exponent class and optional z-value."""
+    """One branch point: its exponent class, optional label and optional z-value."""
 
-    index: int
     alpha: int
     label: Optional[str] = None
     lam: Optional[Fraction] = None
@@ -76,14 +62,9 @@ class CurveSpec:
         n: int,
         alphas: Sequence[int],
         lambdas: Optional[Sequence[Fraction]] = None,
-        labels: Optional[Sequence[Optional[str]]] = None,
     ) -> "CurveSpec":
-        pts = []
-        for i, a in enumerate(alphas):
-            lam = _fraction(lambdas[i]) if lambdas is not None else None
-            lab = labels[i] if labels is not None else None
-            pts.append(BranchPoint(i, a, lab, lam))
-        return cls(n, tuple(pts))
+        spec = cls(n, tuple(BranchPoint(a) for a in alphas))
+        return spec if lambdas is None else spec.with_lambdas(lambdas)
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
@@ -124,14 +105,8 @@ class CurveSpec:
 
     @cached_property
     def t_values(self) -> tuple[int, ...]:
-        """t_k for k = 0..n-1; t_k depends on k only mod n."""
-        n = self.n
-        return tuple(
-            sum(a * k - n * s_value(a, k, n) for a in self.alphas) // n for k in range(n)
-        )
-
-    def t_value(self, k: int) -> int:
-        return self.t_values[k % self.n]
+        """t_k for k = 0..n-1: the sum over the points of alpha_i * k mod n, over n."""
+        return (0, *(sum(thr) // self.n for thr in self.thresholds))
 
     @cached_property
     def thresholds(self) -> tuple[tuple[int, ...], ...]:
@@ -171,15 +146,15 @@ class CurveSpec:
         if n < 2:
             problems.append(f"n must be at least 2, got {n}")
             return problems
-        for p in self.points:
-            if not is_int(p.alpha):
-                problems.append(f"point {p.index}: alpha must be an integer, got {p.alpha!r}")
-            elif not 1 <= p.alpha <= n - 1:
-                problems.append(f"point {p.index}: alpha {p.alpha} outside 1..{n - 1}")
-            elif gcd(p.alpha, n) != 1:
-                problems.append(f"point {p.index}: alpha {p.alpha} not coprime to {n}")
-        if all(is_int(p.alpha) for p in self.points):
-            total = sum(p.alpha for p in self.points)
+        for i, a in enumerate(self.alphas):
+            if not is_int(a):
+                problems.append(f"point {i}: alpha must be an integer, got {a!r}")
+            elif not 1 <= a <= n - 1:
+                problems.append(f"point {i}: alpha {a} outside 1..{n - 1}")
+            elif gcd(a, n) != 1:
+                problems.append(f"point {i}: alpha {a} not coprime to {n}")
+        if all(map(is_int, self.alphas)):
+            total = sum(self.alphas)
             if total % n != 0:
                 problems.append(f"exponent sum {total} is not 0 mod {n}")
         if self.point_count < 3:
@@ -198,24 +173,27 @@ class CurveSpec:
         return self
 
     def with_lambdas(self, lambdas: Sequence[Fraction]) -> "CurveSpec":
-        if len(lambdas) != self.point_count:
-            raise CurveError("wrong number of z-values")
-        pts = tuple(
-            BranchPoint(p.index, p.alpha, p.label, _fraction(v))
-            for p, v in zip(self.points, lambdas)
-        )
-        return CurveSpec(self.n, pts)
+        """The curve with one exact z-value per point (see ``_parse_exact``)."""
+        lams = [_parse_exact(v) for v in lambdas]
+        if len(lams) != self.point_count:
+            raise CurveError(f"{len(lams)} z-values for {self.point_count} points")
+        pts = (BranchPoint(p.alpha, p.label, lam) for p, lam in zip(self.points, lams))
+        return CurveSpec(self.n, tuple(pts))
 
 
 def _parse_exact(value) -> Fraction:
-    """Exact rational from a JSON scalar; floats are rejected on purpose."""
+    """An exact rational from an int, a ``Fraction`` or a string such as "7/3" or
+    "0.25"; floats are rejected on purpose.  ``fractions`` is loaded by the first
+    z-value read, not by a job that has none."""
+    from fractions import Fraction
+
     if isinstance(value, bool):
         raise CurveError(f"not a number: {value!r}")
-    if isinstance(value, int):
-        return _fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, str):
         try:
-            return _fraction(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CurveError(f"cannot parse {value!r} as an exact rational") from exc
     if isinstance(value, float):
@@ -237,49 +215,32 @@ def curve_from_dict(data: dict) -> CurveSpec:
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise CurveError(f"curve document needs 'n' and 'points': {exc}") from exc
-    if not is_int(n):
-        raise CurveError(f"'n' must be an integer, got {n!r}")
     if not isinstance(raw_points, list):
         raise CurveError("'points' must be a list")
     pts = []
     for i, rp in enumerate(raw_points):
         if not isinstance(rp, dict) or "alpha" not in rp:
             raise CurveError(f"point {i}: expected an object with 'alpha'")
-        alpha = rp["alpha"]
-        if not is_int(alpha):
-            raise CurveError(f"point {i}: alpha must be an integer")
         lam = _parse_exact(rp["lambda"]) if "lambda" in rp else None
         label = rp.get("label")
         if label is not None and not isinstance(label, str):
             raise CurveError(f"point {i}: label must be a string")
-        pts.append(BranchPoint(i, alpha, label, lam))
+        pts.append(BranchPoint(rp["alpha"], label, lam))
     return CurveSpec(n, tuple(pts)).require_valid()
 
 
 def read_document(path: str) -> tuple[object, str]:
     """The JSON document in the file at ``path`` and the first 16 hex digits of the
-    SHA-256 of the same bytes, read once, so a pipe works; non-UTF-8 or non-JSON
-    content is refused with the path."""
+    SHA-256 of the same bytes, read once, so a pipe works; bytes that are not UTF-8,
+    or JSON that ``json.loads`` refuses or recurses too deep on, are refused with the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         document = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors and the digit limit are ValueErrors
         raise CurveError(f"{path}: {exc}") from None
     return document, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def load_curve(path: str) -> CurveSpec:
     return curve_from_dict(read_document(path)[0])
-
-
-def curve_to_dict(spec: CurveSpec) -> dict:
-    points = []
-    for p in spec.points:
-        entry: dict = {"alpha": p.alpha}
-        if p.label is not None:
-            entry["label"] = p.label
-        if p.lam is not None:
-            entry["lambda"] = str(p.lam)
-        points.append(entry)
-    return {"n": spec.n, "points": points}

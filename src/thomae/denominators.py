@@ -126,9 +126,6 @@ class ExponentMatrix:
     def __add__(self, other: "ExponentMatrix") -> "ExponentMatrix":
         return self._combine(other, add)
 
-    def degree_units(self) -> int:
-        return sum(self._values)
-
     def __repr__(self):
         return f"ExponentMatrix({dict(self.items())})"
 
@@ -140,7 +137,7 @@ def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
 
 def degree(matrix: ExponentMatrix) -> int:
     """Sum of the full (realized) exponents."""
-    return matrix.unit_factor * matrix.degree_units()
+    return matrix.unit_factor * sum(matrix._values)
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +332,11 @@ def evaluate(matrix: ExponentMatrix, mode: EvalMode = EvalMode.EXACT_RATIONAL):
     if mode is EvalMode.LOG_ABS:
         logmag = 0.0
         for (i, j), unit in matrix.items():
-            logmag += factor * unit * math.log(abs(lams[i] - lams[j]))
+            diff = abs(lams[i] - lams[j])
+            try:
+                logmag += factor * unit * math.log(diff)
+            except (OverflowError, ValueError):  # diff lies past the range of a float
+                logmag += factor * unit * (math.log(diff.numerator) - math.log(diff.denominator))
         return (logmag, 1)
     raise DivisorError(f"unknown evaluation mode {mode!r}")
 

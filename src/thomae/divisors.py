@@ -101,22 +101,10 @@ class LeveledDivisor:
         out.__dict__.update(curve=curve, levels=levels, kind=kind)
         return out
 
-    def exponent(self, point: int) -> int:
-        return self.curve.n - 1 - self.levels[point]
-
     @property
     def exponents(self) -> tuple[int, ...]:
         n = self.curve.n
         return tuple(n - 1 - l for l in self.levels)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of the points appearing with a positive exponent."""
-        n = self.curve.n
-        return tuple(i for i, l in enumerate(self.levels) if l < n - 1)
 
     def sets(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Nonempty (alpha, level) -> point indices partition of the divisor."""
@@ -208,7 +196,7 @@ def enumerate_cardinality_matrices(
     most one, and once it is placed every condition sits on its target.
     """
     n = spec.n
-    targets = [spec.t_value(k) - kind.shift for k in range(1, n)]
+    targets = [t - kind.shift for t in spec.t_values[1:]]
     if any(not 0 <= tg <= spec.point_count for tg in targets):
         return
     classes = spec.classes
@@ -253,7 +241,7 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
     if matrix.curve != spec:
         raise DivisorError("matrix belongs to a different curve")
     n = spec.n
-    class_points = {a: [p.index for p in spec.points if p.alpha == a] for a in spec.classes}
+    class_points = {a: [i for i, b in enumerate(spec.alphas) if b == a] for a in spec.classes}
 
     def place(points: tuple[int, ...], row: tuple[int, ...], level: int) -> Iterator[dict]:
         if level == n:

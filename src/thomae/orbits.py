@@ -33,6 +33,7 @@ from .divisors import (
     LeveledDivisor,
     _allowed,
     _list_assignments,
+    _meets,
     _require_cap,
     _require_int,
     count_base_point_free,
@@ -133,13 +134,6 @@ class OrbitGraph:
         index, out = self._index, self._out
         return tuple(Edge(i, index[w], label) for v, i in index.items() for w, label in out(v))
 
-    def vertex_id(self, divisor: LeveledDivisor) -> int:
-        """The id of an XI divisor of this graph's curve; any other is refused."""
-        if divisor.curve == self.curve and divisor.kind is DivisorKind.XI:
-            if divisor.levels in self._index:
-                return self._index[divisor.levels]
-        raise DivisorError(f"divisor {divisor.levels} is not a vertex")
-
     def _ids(self, reps) -> list[int]:
         """The ascending vertex ids of the M-orbits of ``reps``."""
         t, n = self._t, self.curve.n
@@ -154,8 +148,13 @@ class OrbitGraph:
         return sorted(self._ids((rep,)) for rep in self.reps)
 
     def witness(self, source: LeveledDivisor, target: LeveledDivisor) -> Optional[list[str]]:
-        """A word in the edge labels leading from source to target, if any."""
-        self.vertex_id(source), self.vertex_id(target)  # refuse non-vertices
+        """A word in the edge labels leading from source to target, if any.  Each
+        end must be a vertex, an XI divisor of this graph's curve that meets the
+        conditions; that is tested directly, so the vertices are never listed."""
+        for div in (source, target):
+            if not (div.curve == self.curve and div.kind is DivisorKind.XI
+                    and _meets(self.curve, div.levels, 0)):
+                raise DivisorError(f"divisor {div.levels} is not a vertex")
         s, t = source.levels, target.levels
         parent = _search(s, self._out, t)
         if t not in parent:
@@ -348,16 +347,14 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
                 per_point_avoid=(xi_total // n,) * spec.point_count,
             )
         )
-    report = CountReport(family=family, counts=tuple(rows))
-    if not fit:
-        return report
-    degree_hint = len(family.d) - 1
-    fitted = {}
-    for name in ("total_divisors", "m_orbits"):
-        data = [(c.n, getattr(c, name)) for c in report.valid_counts()]
-        if len(data) >= degree_hint + 2:
-            fitted[name] = fit_count_polynomial(data, degree_hint)
-    return CountReport(family=family, counts=report.counts, fit=fitted)
+    fitted = None
+    if fit:
+        fitted, degree_hint = {}, len(family.d) - 1
+        for name in ("total_divisors", "m_orbits"):
+            data = [(c.n, getattr(c, name)) for c in rows if not c.skipped]
+            if len(data) >= degree_hint + 2:
+                fitted[name] = fit_count_polynomial(data, degree_hint)
+    return CountReport(family=family, counts=tuple(rows), fit=fitted)
 
 
 def fit_count_polynomial(
@@ -367,8 +364,12 @@ def fit_count_polynomial(
 
     Returns (coefficients low to high, residuals).  Zero residuals on the
     held-out points support exact polynomial growth; least squares is never
-    used because the claim under test is exact polynomiality.
+    used because the claim under test is exact polynomiality.  Each n may
+    appear once, and ``degree_hint`` is a non-negative integer.
     """
+    _require_cap("degree_hint", degree_hint)
+    if len({x for x, _ in counts}) != len(counts):
+        raise DivisorError("each n may be given once")
     if len(counts) < degree_hint + 2:
         raise DivisorError(
             f"need at least {degree_hint + 2} data points, got {len(counts)}"

@@ -85,7 +85,7 @@ class _Run:
 
 def _genus_sum(run: _Run) -> Iterator[str]:
     spec = run.spec
-    total = sum(spec.t_value(k) - 1 for k in range(1, spec.n))
+    total = sum(t - 1 for t in spec.t_values[1:])
     if total != spec.genus():
         yield f"sum(t_k - 1) = {total} != g = {spec.genus()}"
 

@@ -44,7 +44,6 @@ from thomae import (
     matrix_quotient,
     pmt_denominator,
     pmt_gamma_denominator,
-    s_value,
     satisfies_conditions,
     specialty_index,
     t_admissible,
@@ -91,13 +90,13 @@ def three_point_curve(n):
 def differential_orders(curve, k):
     """Orders at the branch points of the type-k differential with p = 1."""
     n = curve.n
-    return tuple(n - 1 + n * s_value(a, k, n) - a * k for a in curve.alphas)
+    return tuple(n - 1 + n * ((a * k) // n) - a * k for a in curve.alphas)
 
 
 def differential_count(curve, k):
     """t_k - 1, the number of independent type-k differentials."""
     n = curve.n
-    return sum(a * k - n * s_value(a, k, n) for a in curve.alphas) // n - 1
+    return sum(a * k - n * ((a * k) // n) for a in curve.alphas) // n - 1
 
 
 def rr_index(curve, exps):
@@ -312,7 +311,7 @@ def test_criterion4_equivalence(battery):
         alphas = curve.alphas
         npts = curve.point_count
         thresholds = [tuple((a * k) % n for a in alphas) for k in range(1, n)]
-        targets = [curve.t_value(k) - 1 for k in range(1, n)]
+        targets = [t - 1 for t in curve.t_values[1:]]
         for levels in itertools.product(range(n), repeat=npts):
             if sum(levels) != npts * (n - 1) - g:
                 continue
@@ -360,7 +359,7 @@ def test_criterion4_three_point_family_enumerated():
     # n = 11: both survivors carry every branch point, so no orbits at all
     curve11 = three_point_curve(11)
     divs11 = list(enumerate_divisors(curve11, DivisorKind.DELTA))
-    checks.append(all(len(d.support()) == 3 for d in divs11))
+    checks.append(all(0 not in d.exponents for d in divs11))
     checks.append(len(build_graph(curve11).vertices) == 0)
     assert report("4b (three-point family, enumerated classification)", all(checks))
 
@@ -433,7 +432,7 @@ def test_criterion4_three_point_family_n7_quoted_names_are_canonical():
     canonical = {
         differential_orders(curve, k)
         for k in range(1, curve.n)
-        if curve.t_value(k) == 2
+        if curve.t_values[k] == 2
     }
     assert {(1, 3, 0), (3, 0, 1), (0, 1, 3)} <= canonical
     for exps in [(1, 3, 0), (3, 0, 1), (0, 1, 3)]:
@@ -837,7 +836,7 @@ def test_criterion9_structure(battery):
     checks = []
     for curve in battery:
         checks.append(
-            sum(curve.t_value(k) - 1 for k in range(1, curve.n)) == curve.genus()
+            sum(t - 1 for t in curve.t_values[1:]) == curve.genus()
         )
     rng = random.Random(20260809)
     for curve in battery:

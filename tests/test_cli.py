@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thomae import __version__, divisors
+from thomae import DivisorKind, __version__, curve_from_dict, divisors, enumerate_divisors
 from thomae.cli import main
 
 
@@ -163,6 +169,23 @@ def test_denominator_report(capsys, two_two_curve, tmp_path):
     assert pairs == {(0, 3): 4, (1, 2): 4}
     assert doc["degree"] == 10 * sum(pairs.values())
     assert "value" in doc
+
+
+def test_log_value_of_z_values_past_the_range_of_a_float(capsys, tmp_path):
+    """Differences of about 1e500 and of 1e-400 are past a float's range, and the
+    log magnitude is still the sum of exponent times log |difference|."""
+    lams = ["0", "1", "1e500", "-1e-400"]
+    curve = write(tmp_path / "c.json", {"n": 5, "points": [
+        {"alpha": a, "lambda": lam} for a, lam in zip([1, 2, 3, 4], lams)]})
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 4, 4, 0]})
+    code, out, err = run(capsys, "denominator", "--curve", curve, "--divisor", divisor,
+                         "--evaluate", "log")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    pairs = {(p["i"], p["j"]): p["exp_unit"] for p in doc["denominator"]["pairs"]}
+    assert pairs == {(0, 3): 4, (1, 2): 4}
+    expected = 10 * 4 * (math.log(10 ** 500 - 1) - 400 * math.log(10))
+    assert doc["value"] == {"log_abs": pytest.approx(expected), "sign": 1}
 
 
 def test_denominator_pmt(capsys, two_two_curve, tmp_path):
@@ -325,6 +348,8 @@ def test_csv_format_counts(capsys, tmp_path):
         ["apply", "--op", "T:0"],
         ["apply", "--divisor", "@short_divisor", "--op", "N"],
         ["apply", "--divisor", "@string_levels_divisor", "--op", "N"],
+        ["denominator", "--curve", "@far_lambda_curve", "--divisor", "@far_lambda_divisor",
+         "--evaluate", "exact"],
     ],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
@@ -335,7 +360,7 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
     divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 1, 2]})
     family = write(tmp_path / "f.json", {"c": [1, 1, 1], "d": [1, 1, 1]})
     # a float or a JSON boolean (which loads as a Python int) where an integer belongs,
-    # too few levels, or levels given as a string
+    # too few levels, levels given as a string, or an exact value too long to write
     bad_files = {
         "@float_family": {"c": [1.5, 1], "d": [1, 1.5]},
         "@bool_family": {"c": [True, 1], "d": [2]},
@@ -343,6 +368,9 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
         "@bool_level_divisor": {"kind": "xi", "levels": [0, True, 1]},
         "@short_divisor": {"kind": "xi", "levels": [0, 1]},
         "@string_levels_divisor": {"kind": "xi", "levels": "012"},
+        "@far_lambda_curve": {"n": 5, "points": [{"alpha": a, "lambda": lam} for a, lam in
+                                                 [(1, "0"), (2, "1"), (3, "1e400"), (4, "2")]]},
+        "@far_lambda_divisor": {"kind": "xi", "levels": [0, 0, 4, 4]},
     }
     inputs = {
         "apply": ["--curve", curve, "--divisor", divisor],
@@ -421,9 +449,11 @@ def test_piped_curve_is_digested_as_read(capsys):
         ("divisor", b'{"kind": "xi", "levels": [0, 1, 2], "note": "\xc3"}'),
         ("family", b'{c: [1, 1, 1], d: [1, 1, 1]}'),
         ("witness", b"[0, 1, 2"),
+        ("curve", b"[" * 100_000 + b"]" * 100_000),
+        ("divisor", b'{"kind": "xi", "levels": [' + b"1" * 5000 + b"]}"),
     ],
     ids=["non-utf8-curve", "non-json-curve", "non-json-divisor", "non-utf8-divisor",
-         "non-json-family", "non-json-witness"],
+         "non-json-family", "non-json-witness", "deeply-nested-curve", "5000-digit-level"],
 )
 def test_unreadable_input_file_is_one_error_line_naming_it(capsys, tmp_path, flag, content):
     curve = write(tmp_path / "c.json", {"n": 5, "points": [{"alpha": a} for a in (1, 2, 2)]})
@@ -439,3 +469,140 @@ def test_unreadable_input_file_is_one_error_line_naming_it(capsys, tmp_path, fla
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+# JSON of any shape, for documents that are not what a command expects
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e9, 1e9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8,
+)
+_Z_VALUES = st.integers(-60, 60).map(str) | st.sampled_from(
+    ["7/3", "-0.25", "1e3", "1e-3", "5/7", "123456/7", "-9/11", "0.125", "1e400", "-1e-400"])
+_BAD = st.sampled_from(["1/0", "x", 0.5, True, None, [1], "3", -1, 0, 31])
+
+
+@st.composite
+def _curve_documents(draw):
+    """A curve document: mostly one with 2 <= n <= 30, 3 to 6 points and
+    exponents prime to n summing to 0 mod n, sometimes with one value replaced
+    or JSON of any shape."""
+    fault = draw(st.integers(0, 9))  # 0: any JSON; 1, 2, 3: a bad n, alpha or z-value
+    if fault == 0:
+        return draw(_ANY_JSON)
+    n = draw(st.integers(2, 30))
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    alphas = draw(st.lists(st.sampled_from(units), min_size=2, max_size=5))
+    last = -sum(alphas) % n
+    alphas = alphas + [last] if last in units else alphas[:3] + [n - a for a in alphas[:3]]
+    points = [{"alpha": a} for a in alphas]
+    if draw(st.integers(0, 2)):
+        lams = draw(st.lists(_Z_VALUES, min_size=len(points), max_size=len(points), unique=True))
+        for point, lam in zip(points, lams):
+            point["lambda"] = lam
+    doc = {"n": n, "points": points}
+    if fault in (1, 2, 3):
+        point = draw(st.sampled_from(points))
+        target, key = {1: (doc, "n"), 2: (point, "alpha"), 3: (point, "lambda")}[fault]
+        target[key] = draw(_BAD)
+    return doc
+
+
+@st.composite
+def _divisor_documents(draw, curve):
+    """A divisor document: a listed divisor of ``curve`` when it has one, or
+    levels of the right length, or JSON of any shape."""
+    kind = draw(st.sampled_from(["xi"] * 4 + ["delta", "x", 1]))
+    choice = draw(st.integers(0, 4))
+    try:
+        spec = curve_from_dict(curve)
+        listed = list(itertools.islice(enumerate_divisors(spec, DivisorKind(kind)), 40))
+    except ValueError:  # CurveError, or a kind that is not one
+        spec, listed = None, []
+    if choice < 3 and listed:
+        return {"kind": kind, "levels": list(draw(st.sampled_from(listed)).levels)}
+    if choice < 4 and spec is not None:
+        levels = st.lists(st.integers(-1, spec.n), min_size=spec.point_count,
+                          max_size=spec.point_count)
+        return {"kind": kind, "levels": draw(levels)}
+    return draw(_ANY_JSON)
+
+
+_SMALL = st.integers(-2, 31).map(str)
+_FORMATS = st.sampled_from([[], ["--format", "csv"], ["--format", "human"]])
+
+
+@st.composite
+def _invocations(draw, command):
+    """argv for ``command`` with generated flags, and the documents its input
+    flags name, as {flag: document}."""
+    curve = draw(_curve_documents())
+    docs = {"curve": curve}
+    argv = [command]
+    if command in ("apply", "denominator"):
+        docs["divisor"] = draw(_divisor_documents(curve))
+    if command == "enumerate":
+        argv += draw(st.sampled_from([[], ["--kind", "delta"], ["--kind", "xi"]]))
+        argv += draw(st.sampled_from([[], ["--count-only"]]))
+        argv += draw(st.sampled_from([[], ["--avoid", draw(st.integers(-2, 7).map(str))]]))
+    elif command == "apply":
+        q, r = draw(_SMALL), draw(st.integers(-1, 6).map(str))
+        argv += ["--op", draw(st.sampled_from(
+            ["N", f"Nbeta:{q}", f"M:{q}", f"T:{q},{r}", f"That:{q},{r}", f"M:{q},{r}", "x"]))]
+    elif command == "ftable":
+        docs = {}
+        argv += ["--n", draw(_SMALL), "--d", draw(_SMALL)]
+    elif command == "denominator":
+        q, gamma = draw(st.integers(-1, 6).map(str)), draw(_SMALL)
+        argv += ["--which", draw(st.sampled_from(["h", f"g:{gamma}", f"q:{q},{gamma}", "q:x"]))]
+        argv += draw(st.sampled_from([[], ["--evaluate", "exact"], ["--evaluate", "log"]] * 2))
+        argv += draw(st.sampled_from([[], ["--reduce"]]))
+    elif command == "orbits":
+        argv += ["--max-vertices", draw(st.integers(-1, 3000).map(str))]
+        if draw(st.booleans()):
+            docs["witness"] = [draw(_divisor_documents(curve)) for _ in range(2)]
+    elif command == "counts":
+        c = draw(st.lists(st.integers(1, 8) | _BAD, min_size=1, max_size=3))
+        family = st.sampled_from([{"c": c, "d": c[::-1]}] * 4 + [{"c": c, "d": c[:1]}, {"c": c}])
+        docs = {"family": draw(family | _ANY_JSON)}
+        lo = draw(st.integers(-2, 28))
+        argv += ["--n-range", draw(st.sampled_from(
+            [f"{lo}..{lo + draw(st.integers(-1, 2))}", f"{lo}", "..", ""]))]
+        argv += draw(st.sampled_from([[], ["--fit"]]))
+    elif command == "verify":
+        argv += ["--max-n", draw(st.integers(0, 12).map(str)),
+                 "--max-vertices", draw(st.integers(-1, 400).map(str)),
+                 "--seed", draw(st.integers(0, 3).map(str))]
+        argv += draw(st.sampled_from([[], ["--suite", "genus-sum,evaluation"], ["--suite", "x"]]))
+    return argv + draw(_FORMATS), docs
+
+
+@pytest.mark.parametrize(
+    "command", ["enumerate", "apply", "ftable", "denominator", "orbits", "counts", "verify"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_input_ends_in_a_status_or_one_error_line(command, data):
+    """Every command, with generated flags and JSON documents, exits 0, 1 or 2
+    (or argparse's own usage exit 2), and status 1 writes exactly one ``error:``
+    line.  Curves keep n <= 30 with at most 6 points and ``--n-range`` spans
+    at most 4 values: nothing caps n yet, so a larger n is only slow."""
+    argv, docs = data.draw(_invocations(command))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        for flag, doc in docs.items():
+            paths = [write(Path(folder) / f"{flag}{k}.json", one)
+                     for k, one in enumerate(doc if flag == "witness" else [doc])]
+            argv += [f"--{flag}", *paths]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag value
+            code = exc.code
+            assert code == 2 and err.getvalue().startswith("usage: "), argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

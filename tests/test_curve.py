@@ -7,10 +7,8 @@ from thomae import (
     CurveError,
     CurveSpec,
     curve_from_dict,
-    curve_to_dict,
     e_factor,
     k_inverse,
-    s_value,
 )
 
 
@@ -44,24 +42,10 @@ def test_genus_examples():
     assert CurveSpec.from_alphas(7, [1] * 7).genus() == 15
 
 
-def test_s_value_examples():
-    assert s_value(1, 1, 5) == 0
-    assert s_value(3, 4, 5) == 2
-    assert s_value(2, -1, 5) == -1
-
-
-@given(st.integers(2, 50), st.integers(-100, 100), st.integers(1, 49))
-def test_s_value_bounds_and_reduction(n, k, alpha):
-    s = s_value(alpha, k, n)
-    assert alpha * k + 1 - n <= n * s <= alpha * k
-    assert alpha * k - n * s == alpha * (k % n) - n * s_value(alpha, k % n, n)
-
-
 def test_t_value_examples():
     spec = CurveSpec.from_alphas(5, [1, 2, 2])
-    assert spec.t_value(0) == 0
-    assert spec.t_value(1) == 1
-    assert CurveSpec.from_alphas(7, [1] * 7).t_value(0) == 0
+    assert spec.t_values[:2] == (0, 1)
+    assert CurveSpec.from_alphas(7, [1] * 7).t_values[0] == 0
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -73,18 +57,12 @@ def test_t_value_two_two_family_formula(n):
         u = (r + 2 * p - 2 * q - m) // n
         spec = CurveSpec.from_alphas(n, [1] * r + [2] * p + [n - 2] * q + [n - 1] * m)
         for k in range(1, (n - 1) // 2 + 1):
-            assert spec.t_value(k) == k * u + q + m
+            assert spec.t_values[k] == k * u + q + m
 
 
 def test_t_sum_is_genus(small_battery):
     for spec in small_battery:
-        assert sum(spec.t_value(k) - 1 for k in range(1, spec.n)) == spec.genus()
-
-
-def test_t_depends_on_k_mod_n(small_battery):
-    for spec in small_battery[:12]:
-        for k in range(1, spec.n):
-            assert spec.t_value(k) == spec.t_value(k + spec.n) == spec.t_value(k - spec.n)
+        assert sum(t - 1 for t in spec.t_values[1:]) == spec.genus()
 
 
 def test_fractional_parts_cover_everything():
@@ -94,8 +72,8 @@ def test_fractional_parts_cover_everything():
 
             if gcd(alpha, n) != 1:
                 continue
-            residues = {alpha * k - n * s_value(alpha, k, n) for k in range(1, n)}
-            assert residues == set(range(1, n))
+            thresholds = CurveSpec.from_alphas(n, [alpha]).thresholds
+            assert sorted(thr[0] for thr in thresholds) == list(range(1, n))
 
 
 def test_k_inverse_examples():
@@ -137,9 +115,32 @@ def test_json_round_trip(tmp_path):
     spec = curve_from_dict(doc)
     assert spec.points[1].lam == Fraction(7, 3)
     assert spec.points[2].lam == Fraction(1, 4)
-    assert spec.points[0].label == "P"
-    again = curve_from_dict(curve_to_dict(spec))
-    assert again == spec
+    assert [p.label for p in spec.points] == ["P", None, None]
+
+
+def test_library_z_values_are_read_like_the_document():
+    spec = CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=[0, "7/3", Fraction(1, 4), "0.1"])
+    assert spec.lambdas == (0, Fraction(7, 3), Fraction(1, 4), Fraction(1, 10))
+    assert spec.with_lambdas(["-1", 2, Fraction(3), "4"]).lambdas == (-1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "lambdas, match",
+    [
+        ([0, 1], "2 z-values for 4 points"),
+        ([0, 1, 2, 3, 4], "5 z-values for 4 points"),
+        ([0, 1, 2, "x"], "cannot parse 'x'"),
+        ([0, 1, 2, "1/0"], "cannot parse '1/0'"),
+        ([0, 1, 2, 0.1], "refusing float z-value 0.1"),
+        ([0, 1, 2, True], "not a number"),
+        ([0, 1, 2, None], "cannot parse None"),
+    ],
+)
+def test_library_z_values_refused_as_curve_errors(lambdas, match):
+    with pytest.raises(CurveError, match=match):
+        CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=lambdas)
+    with pytest.raises(CurveError, match=match):
+        CurveSpec.from_alphas(5, [1, 1, 1, 2]).with_lambdas(lambdas)
 
 
 def test_json_rejects_floats():

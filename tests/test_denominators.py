@@ -283,7 +283,7 @@ def test_full_denominator_invariances(small_battery):
             for kind in DivisorKind:
                 d = LeveledDivisor(curve, levels, kind)
                 lhs_holds = all(
-                    sum(l < t for l, t in zip(levels, thr)) == curve.t_value(k) - kind.shift
+                    sum(l < t for l, t in zip(levels, thr)) == curve.t_values[k] - kind.shift
                     for k, thr in enumerate(curve.thresholds, 1)
                 )
                 assert satisfies_conditions(d) == lhs_holds

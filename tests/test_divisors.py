@@ -18,7 +18,6 @@ from thomae import (
     expand_matrix,
     satisfies_conditions,
     specialty_index,
-    s_value,
 )
 from thomae import divisors
 from thomae.divisors import CardinalityMatrix
@@ -66,13 +65,13 @@ def rank_specialty_index(curve, exponents):
     lams = curve.lambdas
     total = 0
     for k in range(1, n):
-        tk = curve.t_value(k)
+        tk = curve.t_values[k]
         dim = tk - 1
         if dim <= 0:
             continue
         rows = []
         for i, point in enumerate(curve.points):
-            base = n - 1 + n * s_value(point.alpha, k, n) - point.alpha * k
+            base = n - 1 + n * ((point.alpha * k) // n) - point.alpha * k
             need = exponents[i] - base
             order = 0 if need <= 0 else -(-need // n)  # ceil(need / n)
             for derivative in range(order):
@@ -152,7 +151,7 @@ def test_equivalence_index_vs_conditions(small_battery):
         n = curve.n
         for levels in itertools.product(range(n), repeat=curve.point_count):
             div = LeveledDivisor(curve, levels, DivisorKind.DELTA)
-            if div.degree != g:
+            if sum(div.exponents) != g:
                 continue
             assert (specialty_index(div) == 0) == satisfies_conditions(div)
 
@@ -164,7 +163,7 @@ def test_rank_oracle_agrees_with_index():
         g = curve.genus()
         for levels in itertools.product(range(n), repeat=curve.point_count):
             div = LeveledDivisor(curve, levels, DivisorKind.DELTA)
-            if div.degree != g:
+            if sum(div.exponents) != g:
                 continue
             assert rank_specialty_index(curve, div.exponents) == specialty_index(div)
 
@@ -197,7 +196,7 @@ def test_xi_conditions_examples():
     for curve in curve_battery(6, 4):
         for delta in enumerate_divisors(curve, DivisorKind.DELTA):
             for i in range(curve.point_count):
-                if delta.exponent(i) != 0:
+                if delta.exponents[i] != 0:
                     continue
                 exps = list(delta.exponents)
                 exps[i] = curve.n - 1
@@ -293,7 +292,7 @@ def per_k_conditions(curve, levels, shift):
     n = curve.n
     for k in range(1, n):
         below = sum(1 for l, a in zip(levels, curve.alphas) if l < (a * k) % n)
-        if below != curve.t_value(k) - shift:
+        if below != curve.t_values[k] - shift:
             return False
     return True
 

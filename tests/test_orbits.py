@@ -45,7 +45,7 @@ def test_graph_third_family_n5():
     # the reflection exchanges the two rotation orbits
     first = graph.vertices[orbits[0][0]]
     image = apply_N(first)
-    assert graph.vertex_id(image) in orbits[1]
+    assert graph.vertices.index(image) in orbits[1]
 
 
 def test_graph_third_family_n7():
@@ -116,7 +116,7 @@ def test_m_orbits_are_free(small_battery):
             assert len(orbit) == curve.n
             start = graph.vertices[orbit[0]]
             assert orbit == sorted(
-                graph.vertex_id(apply_M(start, k)) for k in range(curve.n)
+                graph.vertices.index(apply_M(start, k)) for k in range(curve.n)
             )
         assert len(graph.m_orbits()) * curve.n == len(graph.vertices)
 
@@ -245,7 +245,7 @@ def test_witness_across_split_parts_and_off_the_graph():
     small, large, off = (LeveledDivisor(curve, levels, DivisorKind.XI)
                          for levels in [(0, 0, 4, 4, 5, 5), (0, 1, 4, 6, 2, 5), (0,) * 6])
     part_size = {i: len(part) for part in graph.components() for i in part}
-    assert [part_size[graph.vertex_id(v)] for v in (small, large)] == [7, 560]
+    assert [part_size[graph.vertices.index(v)] for v in (small, large)] == [7, 560]
     assert graph.witness(small, large) is None
     delta = LeveledDivisor(curve, small.levels, DivisorKind.DELTA)
     with pytest.raises(DivisorError, match="is not a vertex"):
@@ -258,6 +258,35 @@ def test_witness_across_split_parts_and_off_the_graph():
     assert satisfies_conditions(xi) and satisfies_conditions(stranger)
     with pytest.raises(DivisorError, match="is not a vertex"):
         graph.witness(stranger, xi)
+
+
+def test_witness_never_lists_the_graph(monkeypatch):
+    """``witness`` tests each end by the conditions and searches from there, so
+    it answers and refuses with the listing of the graph's vertices disabled."""
+    curve = CurveSpec.from_alphas(7, [1, 1, 2, 2, 4, 4])
+    graph = build_graph(curve)
+    small, large, off = (LeveledDivisor(curve, levels, DivisorKind.XI)
+                         for levels in [(0, 0, 4, 4, 5, 5), (0, 1, 4, 6, 2, 5), (0,) * 6])
+    # DELTA divisors: one meeting its own conditions, one with a vertex's levels
+    deltas = [next(enumerate_divisors(curve, DivisorKind.DELTA)),
+              LeveledDivisor(curve, small.levels, DivisorKind.DELTA)]
+    # the other curve relabels the points, so the same levels meet its conditions
+    stranger = LeveledDivisor(CurveSpec.from_alphas(7, [2, 2, 4, 4, 1, 1]), small.levels,
+                              DivisorKind.XI)
+    assert satisfies_conditions(stranger) and satisfies_conditions(deltas[0])
+
+    def listing(*args, **kwargs):
+        raise AssertionError("witness listed the graph")
+
+    monkeypatch.setattr(orbits, "enumerate_divisors", listing)
+    monkeypatch.setattr(orbits, "_list_assignments", listing)
+    assert graph.witness(small, large) is None
+    assert graph.witness(large, small) is None
+    assert graph.witness(small, apply_M(small, 3)) == ["M"] * 3
+    for bad in (off, *deltas, stranger):
+        for ends in ((bad, small), (large, bad)):
+            with pytest.raises(DivisorError, match="is not a vertex"):
+                graph.witness(*ends)
 
 
 def test_relabeling_symmetry():
@@ -366,7 +395,7 @@ def test_one_point_transfers_reach_targets():
                     if len(diffs) != 1:
                         continue
                     i = diffs[0]
-                    if abs(xi.exponent(i) - ups.exponent(i)) != 1:
+                    if abs(xi.exponents[i] - ups.exponents[i]) != 1:
                         continue
                     instances += 1
                     assert comp[xi.levels] == comp[ups.levels]
@@ -487,6 +516,21 @@ def test_fit_constant_family():
 def test_fit_requires_enough_points():
     with pytest.raises(DivisorError, match="data points"):
         fit_count_polynomial([(2, 1), (3, 2)], 2)
+
+
+@pytest.mark.parametrize(
+    "counts, degree_hint, match",
+    [
+        ([(1, 1), (1, 2), (2, 3)], 1, "each n may be given once"),
+        ([(1, 1), (2, 2), (3, 3), (2, 5)], 1, "each n may be given once"),
+        ([(1, 1), (2, 2), (3, 3), (4, 4)], 1.5, "degree_hint must be an integer"),
+        ([(1, 1), (2, 2), (3, 3)], True, "degree_hint must be an integer"),
+        ([(1, 1), (2, 2), (3, 3)], -1, "degree_hint must be non-negative"),
+    ],
+)
+def test_fit_refuses_repeated_n_and_bad_degree_hint(counts, degree_hint, match):
+    with pytest.raises(DivisorError, match=match):
+        fit_count_polynomial(counts, degree_hint)
 
 
 def test_family_spec_validation():
