@@ -63,7 +63,7 @@ class CurveSpec:
         alphas: Sequence[int],
         lambdas: Optional[Sequence[Fraction]] = None,
     ) -> "CurveSpec":
-        spec = cls(n, tuple(BranchPoint(a) for a in alphas))
+        spec = cls(n, tuple(map(BranchPoint, _sequence("alphas", alphas))))
         return spec if lambdas is None else spec.with_lambdas(lambdas)
 
     @cached_property
@@ -174,11 +174,18 @@ class CurveSpec:
 
     def with_lambdas(self, lambdas: Sequence[Fraction]) -> "CurveSpec":
         """The curve with one exact z-value per point (see ``_parse_exact``)."""
-        lams = [_parse_exact(v) for v in lambdas]
+        lams = [_parse_exact(v) for v in _sequence("z-values", lambdas)]
         if len(lams) != self.point_count:
             raise CurveError(f"{len(lams)} z-values for {self.point_count} points")
         pts = (BranchPoint(p.alpha, p.label, lam) for p, lam in zip(self.points, lams))
         return CurveSpec(self.n, tuple(pts))
+
+
+def _sequence(what: str, values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise CurveError(f"{what} must be a sequence, got {values!r}") from None
 
 
 def _parse_exact(value) -> Fraction:

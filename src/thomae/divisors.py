@@ -16,8 +16,8 @@ second half's level tuples under their sums and joins every first half with
 the tuples completing it, so divisors come out in lexicographic order
 (``_list_assignments``).  The brute-force oracle keeps the condition test
 written out per k and walks every level tuple once for both kinds.  The
-per-class level-count matrices and their expansion into labeled points
-remain as a second, independent listing.
+per-class level-count matrices are read off the listing, and each expands
+back into its labeled points.
 """
 
 from __future__ import annotations
@@ -179,61 +179,24 @@ class CardinalityMatrix:
 def enumerate_cardinality_matrices(
     spec: CurveSpec, kind: DivisorKind
 ) -> Iterator[CardinalityMatrix]:
-    """All level-count matrices meeting the row sums and the k-conditions.
+    """All level-count matrices of the divisors of ``kind``, read off the listing.
 
-    Classes are placed in input order, one row each, and the matrices come
-    out in ascending lexicographic order of their concatenated rows.  Before
-    a class is placed, no condition is over its target and each can still
-    reach it with the unplaced points.  Inside the class, let p_l count its
-    points at levels <= l.  Every condition whose threshold alpha*k mod n
-    lies above l receives p_l, so p_l may not exceed their least remaining
-    room; the one whose threshold is l+1 receives nothing from the higher
-    levels, so p_l must bring it within reach of the later classes.  The
-    other lower bounds do not depend on how the class splits, so they were
-    checked before it began.  These per-level intervals have upper ends that
-    never fall with l, so the rows of a class are exactly the nondecreasing
-    p inside them, walked in order with no dead ends; the last class has at
-    most one, and once it is placed every condition sits on its target.
+    Each divisor from ``_list_assignments`` fills one row of level counts per
+    class, in input order; the distinct matrices come out in ascending
+    lexicographic order of their concatenated rows (every row has n entries,
+    so tuple order is that order).  The cost scales with the divisors listed,
+    not with the matrices, and the listing raises DivisorError past
+    ``STATE_BUDGET`` stored level tuples.
     """
-    n = spec.n
-    targets = [t - kind.shift for t in spec.t_values[1:]]
-    if any(not 0 <= tg <= spec.point_count for tg in targets):
-        return
-    classes = spec.classes
-    rvals = [spec.r(a) for a in classes]
-    tail_r = [sum(rvals[i + 1 :]) for i in range(len(classes))]
-    # slots[ci][k]: the highest level of class ci below condition k's threshold
-    slots = [[(a * (k + 1)) % n - 1 for k in range(n - 1)] for a in classes]
-    by_slot = [sorted(range(n - 1), key=slot.__getitem__) for slot in slots]
-
-    def rec(ci: int, room: list[int], chosen: list):
-        """room[k]: how many more points may lie below condition k's threshold."""
-        if ci == len(classes):
-            yield CardinalityMatrix(spec, tuple(chosen), kind)
-            return
-        r, slot = rvals[ci], slots[ci]
-        # prefix[l], the class's points at levels <= l, lies in [low[l], high[l]]
-        last = [room[k] for k in by_slot[ci]]
-        low = [v - tail_r[ci] for v in last]
-        high = [min(r, v) for v in itertools.accumulate(reversed(last), min)][::-1]
-        prefix = list(itertools.accumulate(low, max, initial=0))[1:]
-        if any(p > h for p, h in zip(prefix, high)):
-            return
-        while True:
-            row = tuple(b - a for a, b in zip([0, *prefix], [*prefix, r]))
-            chosen.append((classes[ci], row))
-            yield from rec(ci + 1, [room[k] - prefix[l] for k, l in enumerate(slot)], chosen)
-            chosen.pop()
-            l = n - 2
-            while l >= 0 and prefix[l] == high[l]:
-                l -= 1
-            if l < 0:
-                return
-            prefix[l] += 1
-            for j in range(l + 1, n - 1):
-                prefix[j] = max(prefix[j - 1], low[j])
-
-    yield from rec(0, targets, [])
+    row_of = [spec.classes.index(alpha) for alpha in spec.alphas]
+    found = set()
+    for levels in _list_assignments(spec, kind, _allowed(spec, kind, None)):
+        rows = [[0] * spec.n for _ in spec.classes]
+        for c, l in zip(row_of, levels):
+            rows[c][l] += 1
+        found.add(tuple(map(tuple, rows)))
+    for rows in sorted(found):
+        yield CardinalityMatrix(spec, tuple(zip(spec.classes, rows)), kind)
 
 
 def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[LeveledDivisor]:
@@ -395,9 +358,9 @@ def _list_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> Iter
 
 
 def count_divisors(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = None) -> int:
-    """Exact count of valid divisors by a packed-vector meet in the middle, with
-    no matrix search; with ``avoid`` set, of those with that point at
-    ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` sums."""
+    """Exact count of valid divisors by a packed-vector meet in the middle; with
+    ``avoid`` set, of those with that point at ``kind.avoided_level``.  Raises
+    DivisorError past ``STATE_BUDGET`` sums."""
     return _count_assignments(spec, kind, _allowed(spec, kind, avoid))
 
 

@@ -368,47 +368,26 @@ def fit_count_polynomial(
     appear once, and ``degree_hint`` is a non-negative integer.
     """
     _require_cap("degree_hint", degree_hint)
+    for x, y in counts:
+        _require_int("n", x)
+        _require_int("count", y)
     if len({x for x, _ in counts}) != len(counts):
         raise DivisorError("each n may be given once")
     if len(counts) < degree_hint + 2:
         raise DivisorError(
             f"need at least {degree_hint + 2} data points, got {len(counts)}"
         )
-    base = counts[: degree_hint + 1]
-    rest = counts[degree_hint + 1 :]
-    coeffs = _lagrange_coefficients(base)
-    residuals = tuple(
-        Fraction(y) - _poly_eval(coeffs, x) for x, y in rest
-    )
-    return coeffs, residuals
-
-
-def _lagrange_coefficients(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    m = len(points)
-    coeffs = [Fraction(0)] * m
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul_linear(basis, -Fraction(xj))
-            denom *= Fraction(xi - xj)
-        scale = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
+    # Newton's form: each base point adds a multiple of the product of
+    # (x - x_j) over the points before it, which vanishes at all of them
+    coeffs, basis = [], [Fraction(1)]
+    for x, y in counts[: degree_hint + 1]:
+        scale = (y - _poly_eval(coeffs, x)) / _poly_eval(basis, x)
+        coeffs = [c + scale * b for c, b in zip([*coeffs, 0], basis)]
+        basis = [lower - x * b for lower, b in zip([0, *basis], [*basis, 0])]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mul_linear(poly: list[Fraction], constant: Fraction) -> list[Fraction]:
-    """poly(x) * (x + constant)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * constant
-        out[i + 1] += c
-    return out
+    residuals = tuple(y - _poly_eval(coeffs, x) for x, y in counts[degree_hint + 1 :])
+    return tuple(coeffs), residuals
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:

@@ -30,10 +30,11 @@ from .divisors import (
     DivisorError,
     DivisorKind,
     LeveledDivisor,
+    _allowed,
     _brute_force_levels,
+    _list_assignments,
     _meets,
     _require_cap,
-    enumerate_divisors,
     satisfies_conditions,
     specialty_index,
 )
@@ -73,9 +74,10 @@ class _Run:
     def xis(self) -> list[tuple[int, ...]]:
         """The level tuples of the shifted divisors, enumerated once per run and
         refused above the cap."""
+        spec, xi = self.spec, DivisorKind.XI
         out = []
-        for div in enumerate_divisors(self.spec, DivisorKind.XI):
-            out.append(div.levels)
+        for levels in _list_assignments(spec, xi, _allowed(spec, xi, None)):
+            out.append(levels)
             if len(out) > self.max_vertices:
                 raise DivisorError(
                     f"more than {self.max_vertices} divisors; raise --max-vertices"
@@ -96,10 +98,8 @@ def _enumeration(run: _Run) -> Iterator[str]:
         return  # brute-force cross-check only affordable on small curves
     brute = _brute_force_levels(spec)
     for kind in (DivisorKind.DELTA, DivisorKind.XI):
-        if kind is DivisorKind.XI:
-            fast = sorted(run.xis)
-        else:
-            fast = sorted(d.levels for d in enumerate_divisors(spec, kind))
+        fast = sorted(run.xis if kind is DivisorKind.XI
+                      else _list_assignments(spec, kind, _allowed(spec, kind, None)))
         slow = sorted(brute[kind])
         if fast != slow:
             yield (

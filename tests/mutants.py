@@ -1,0 +1,115 @@
+"""Mutation check: each mutant breaks one fast path, and one test file must catch it.
+
+Run from anywhere:  python3 tests/mutants.py
+
+For each entry of ``CAUGHT`` the script copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory, replaces the entry's old text,
+which must occur exactly once in its file, and runs ``pytest -x -q`` on the
+entry's test file there, with ``PYTHONPATH`` pointing at the copied ``src``.
+The mutant is caught when pytest reports a failed test (exit status 1).  The
+script exits 1 when a mutant survives or an old text does not occur exactly
+once, so code that moves updates the table instead of leaving it behind.
+pytest does not collect this file, and CI runs it after the tier-1 tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/thomae, exact old text, new text, test file that must fail)
+CAUGHT = [
+    ("curve.py",  # the range check fires only on a curve that is not valid
+     "            if all(0 <= t - shift <= p for t in self.t_values[1:]) else None\n", "",
+     "tests/test_divisors.py"),
+    ("denominators.py",
+     "    out[rows[q_id][r_id]] = 0  # the pair {Q, R} itself does not move\n", "",
+     "tests/test_denominators.py"),
+    ("denominators.py",
+     "_slot_pair_exponent(n, s, t) if s <= t else", "_slot_pair_exponent(n, s, t) if s >= t else",
+     "tests/test_denominators.py"),
+    ("denominators.py",
+     "if i == q_id or v == 0 and alpha in classes:", "if i == q_id:",
+     "tests/test_denominators.py"),
+    ("divisors.py",
+     "if len(out) > STATE_BUDGET:", "if len(out) >= STATE_BUDGET:",
+     "tests/test_divisors.py"),
+    ("divisors.py",
+     "if stored > STATE_BUDGET:", "if stored >= STATE_BUDGET:",
+     "tests/test_divisors.py"),
+    ("divisors.py",
+     "for rows in sorted(found):", "for rows in found:",
+     "tests/test_divisors.py"),
+    ("operators.py",
+     "lambda a, l: l - a * k", "lambda a, l: l + a * k",
+     "tests/test_operators.py"),
+    ("orbits.py",
+     "if not (div.curve == self.curve and div.kind", "if not (div.kind",
+     "tests/test_orbits.py"),
+    ("orbits.py",
+     "for x, y in counts[: degree_hint + 1]:", "for x, y in counts[: degree_hint]:",
+     "tests/test_orbits.py"),
+]
+
+# (file, exact old text, new text, why no test catches it); the old text is
+# checked, and the mutant is not run
+KNOWN_SURVIVORS = [
+    ("curve.py",
+     "powers = [(p + 1) ** k for k in range(n - 1)]", "powers = [p ** k for k in range(n - 1)]",
+     "with base p a digit that reaches p could carry into a false match; no curve found "
+     "does so (no count changes on curve_battery(11, 7)), but base p+1 makes the packed "
+     "test exact by construction"),
+]
+
+
+def occurrences(file: str, old: str) -> int:
+    return (ROOT / "src" / "thomae" / file).read_text().count(old)
+
+
+def survives(file: str, old: str, new: str, tests: str) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        junk = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=junk)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=junk)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "thomae" / file
+        path.write_text(path.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    return run.returncode != 1
+
+
+def main() -> int:
+    misplaced = [(file, old) for file, old, *_ in CAUGHT + KNOWN_SURVIVORS
+                 if occurrences(file, old) != 1]
+    for file, old in misplaced:
+        print(f"{file}: old text occurs {occurrences(file, old)} times: {old!r}")
+    if misplaced:
+        return 1
+    survivors = 0
+    for file, old, new, tests in CAUGHT:
+        start = time.perf_counter()
+        alive = survives(file, old, new, tests)
+        survivors += alive
+        verdict = "SURVIVED" if alive else "caught"
+        print(f"{verdict:8} {time.perf_counter() - start:5.1f}s  {file}: {old.strip()!r} -> "
+              f"{new.strip()!r} ({tests})", flush=True)
+    for file, old, new, why in KNOWN_SURVIVORS:
+        print(f"known survivor  {file}: {old.strip()!r} -> {new.strip()!r}: {why}")
+    print(f"{len(CAUGHT) - survivors} of {len(CAUGHT)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,8 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -241,8 +243,8 @@ def test_enumeration_matches_brute_force():
 
 
 def test_search_matches_brute_force_on_full_battery(full_battery):
-    """The matrix search yields exactly the distinct per-class level-count
-    matrices of the brute-force divisors, each once, in ascending
+    """The matrices read off the listing are exactly the distinct per-class
+    level-count matrices of the brute-force divisors, each once, in ascending
     lexicographic order of the concatenated rows, and the counts agree,
     base-point-free counts included."""
     for curve in full_battery:
@@ -319,6 +321,7 @@ def test_listing_refuses_past_state_budget(monkeypatch):
     for listing in (
         lambda: enumerate_divisors(curve, DivisorKind.XI),
         lambda: enumerate_divisors(curve, DivisorKind.XI, avoid=0),
+        lambda: enumerate_cardinality_matrices(curve, DivisorKind.XI),
     ):
         with pytest.raises(DivisorError, match="stored level tuples"):
             list(listing())
@@ -369,6 +372,27 @@ def test_expand_two_choices():
     assert len(list(expand_matrix(matrix, curve))) == 6
 
 
+def per_k_dp_count(n, alphas, shift):
+    """Level tuples meeting every condition with right-hand side t_k - shift,
+    counted by a DP over the vector of per-k counts of levels below
+    alpha * k mod n, one point at a time.  The targets come from the residue
+    sums; nothing here reads the curve's thresholds, t-values or packing."""
+    targets = tuple(sum((a * k) % n for a in alphas) // n - shift for k in range(1, n))
+    states = Counter({(0,) * (n - 1): 1})
+    for i, a in enumerate(sorted(alphas)):  # the count does not depend on the order
+        left = len(alphas) - 1 - i
+        steps = Counter(tuple(int(l < (a * k) % n) for k in range(1, n)) for l in range(n))
+        grown = Counter()
+        for counts, ways in states.items():
+            for step, levels in steps.items():
+                below = tuple(map(add, counts, step))
+                # the points left can still bring every count up to its target
+                if all(t - left <= c <= t for c, t in zip(below, targets)):
+                    grown[below] += ways * levels
+        states = grown
+    return states[targets]
+
+
 @pytest.mark.parametrize(
     "n, alphas, kind, count",
     [
@@ -380,12 +404,12 @@ def test_expand_two_choices():
 )
 def test_counts_beyond_the_battery(n, alphas, kind, count):
     """Shapes outside the battery: n > 8 with many classes, or several
-    points per class; wide14 is also checked against the matrix walk."""
+    points per class.  Below n = 16 the count is also checked against the
+    per-k DP, which takes tens of seconds at n = 16."""
     curve = CurveSpec.from_alphas(n, alphas)
     assert count_divisors(curve, kind) == count
-    if n == 14:
-        matrices = enumerate_cardinality_matrices(curve, kind)
-        assert sum(expansion_size(m) for m in matrices) == count
+    if n < 16:
+        assert per_k_dp_count(n, alphas, kind.shift) == count
 
 
 def test_count_refuses_past_state_budget(monkeypatch):

@@ -22,6 +22,7 @@ from thomae import (
     difbeta_hypothesis,
     difbeta_reachability,
     enumerate_divisors,
+    fit_count_polynomial,
     pmt_denominator,
     pmt_gamma_denominator,
     t_admissible,
@@ -108,6 +109,38 @@ def test_non_integer_n_and_alpha_are_refused(n, alphas):
     TypeError from gcd or a comparison."""
     with pytest.raises(CurveError, match="must be an integer"):
         CurveSpec.from_alphas(n, alphas).require_valid()
+
+
+NOT_SEQUENCES = {
+    "alphas-int": (lambda: CurveSpec.from_alphas(5, 3), "alphas"),
+    "alphas-none": (lambda: CurveSpec.from_alphas(5, None), "alphas"),
+    "lambdas-int": (lambda: CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=5), "z-values"),
+    "with-lambdas-none": (lambda: CURVE.with_lambdas(None), "z-values"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_SEQUENCES)
+def test_curve_arguments_that_are_not_sequences_are_refused(name):
+    """A CurveError, never a bare TypeError from iterating an int or None."""
+    call, what = NOT_SEQUENCES[name]
+    with pytest.raises(CurveError, match=f"{what} must be a sequence"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ([(1, 1), (2, 2), (3, "x")], "count must be an integer"),
+        ([(1, 1), (2, 2), (3, 2.5)], "count must be an integer"),
+        ([(1, 1), (2, 2), (3, True)], "count must be an integer"),
+        ([(1.0, 1), (2, 2), (3, 3)], "n must be an integer"),
+        ([("3", 1), (2, 2), (4, 3)], "n must be an integer"),
+    ],
+)
+def test_fit_refuses_non_integer_n_and_counts(counts, match):
+    """Neither a bare ValueError from Fraction("x") nor a silent residual from 2.5."""
+    with pytest.raises(DivisorError, match=match):
+        fit_count_polynomial(counts, 1)
 
 
 @pytest.mark.parametrize("n", [5.0, "5", True])

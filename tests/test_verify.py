@@ -19,13 +19,13 @@ from thomae import verify
 
 def test_run_suite_enumerates_shifted_divisors_once(monkeypatch):
     calls = []
-    original = verify.enumerate_divisors
+    original = verify._list_assignments
 
-    def counting(spec, kind):
+    def counting(spec, kind, allowed):
         calls.append(kind)
-        return original(spec, kind)
+        return original(spec, kind, allowed)
 
-    monkeypatch.setattr(verify, "enumerate_divisors", counting)
+    monkeypatch.setattr(verify, "_list_assignments", counting)
     ran, findings = run_suite(CurveSpec.from_alphas(5, [1, 1, 1, 2]))
     assert findings == []
     assert "enumeration" in ran and "operators" in ran
