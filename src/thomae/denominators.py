@@ -150,19 +150,14 @@ def _slot_pair_exponent(n: int, first: int, second: int) -> int:
     return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
 
 
-def full_denominator(xi: LeveledDivisor, slot_order: Optional[list] = None) -> ExponentMatrix:
+def full_denominator(xi: LeveledDivisor) -> ExponentMatrix:
     """The full denominator h of a valid shifted divisor.
 
     Each point pair takes the unit exponent of its (class, level) slot pair,
-    walked from the lower slot id to the higher and cached per (n, id, id).
-    ``slot_order`` lists the divisor's nonempty slots as (class, level) pairs
-    and walks each slot pair from the slot earlier in that order instead;
-    that walk is the oracle for order independence, which the tests exercise
-    by passing a reversed order.
+    walked from the lower slot id to the higher and cached per (n, id, id);
+    ``_slot_walk`` is the oracle that walks them in a given slot order instead.
     """
     _require_xi(xi)
-    if slot_order is not None:
-        return _slot_walk(xi, list(slot_order))
     return _matrix(xi.curve, _h(xi.curve, xi.levels))
 
 
@@ -197,16 +192,18 @@ def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _slot_walk(xi: LeveledDivisor, slots: list) -> ExponentMatrix:
-    """h with each point pair's slot pair walked from the slot earlier in
-    ``slots``, which must list exactly the nonempty (class, level) slots."""
-    curve, n = xi.curve, xi.curve.n
-    if sorted(slots) != sorted(set(zip(curve.alphas, xi.levels))):
+def _slot_walk(curve: CurveSpec, levels: tuple[int, ...], slots: list) -> ExponentMatrix:
+    """h of ``levels`` with each point pair's slot pair walked from the slot
+    earlier in ``slots``, which must list exactly the nonempty (class, level)
+    slots; the order-independence oracle, which ``verify`` and the tests run
+    on a reversed order."""
+    n = curve.n
+    if sorted(slots) != sorted(set(zip(curve.alphas, levels))):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
     rank = {alpha * n + level: k for k, (alpha, level) in enumerate(slots)}
     return _matrix(curve, tuple(
         _slot_pair_exponent(n, s, t) if rank[s] <= rank[t] else _slot_pair_exponent(n, t, s)
-        for s, t in itertools.combinations(map(add, curve.slot_bases, xi.levels), 2)
+        for s, t in itertools.combinations(map(add, curve.slot_bases, levels), 2)
     ))
 
 

@@ -14,10 +14,10 @@ read that table.  Both counting and listing meet in the middle: counting
 folds multisets of partial sums (``_count_assignments``); listing files the
 second half's level tuples under their sums and joins every first half with
 the tuples completing it, so divisors come out in lexicographic order
-(``_list_assignments``).  The brute-force oracle keeps the condition test
-written out per k and walks every level tuple once for both kinds.  The
-per-class level-count matrices are read off the listing, and each expands
-back into its labeled points.
+(``_list_assignments``); a cap on them is checked on the exact count first.
+The brute-force oracle keeps the condition test written out per k and walks
+every level tuple once for both kinds.  The per-class level-count matrices
+are read off the listing; each expands back, in the listing's order.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ def _require_cap(what: str, value) -> None:
     _require_int(what, value)
     if value < 0:
         raise DivisorError(f"{what} must be non-negative, got {value}")
+
+
+def _require_vertices(spec: CurveSpec, max_vertices: int) -> None:
+    """Refuse more shifted divisors than ``max_vertices`` by their exact count."""
+    total = count_divisors(spec, DivisorKind.XI)
+    if total > max_vertices:
+        raise DivisorError(f"{total} vertices exceed the requested cap {max_vertices}")
 
 
 def _require_points(spec: CurveSpec, *points) -> None:
@@ -160,18 +167,21 @@ def divisor_from_exponents(
 
 @dataclass(frozen=True)
 class CardinalityMatrix:
-    """Per-class level counts c_{alpha, l} of divisors of one kind; row alpha
-    sums to r_alpha."""
+    """Per-class level counts c_{alpha, l} of divisors of one kind: one row per
+    class, in curve order, of non-negative integers; row alpha sums to r_alpha."""
 
     curve: CurveSpec
     counts: tuple[tuple[int, tuple[int, ...]], ...]  # (alpha, counts over levels)
     kind: DivisorKind
 
     def __post_init__(self):
-        n = self.curve.n
+        if not isinstance(self.kind, DivisorKind):
+            raise DivisorError(f"kind must be a DivisorKind, got {self.kind!r}")
+        if tuple(alpha for alpha, _ in self.counts) != self.curve.classes:
+            raise DivisorError(f"rows must be the classes {self.curve.classes}, in order")
         for alpha, row in self.counts:
-            if len(row) != n:
-                raise DivisorError("each class row needs one count per level")
+            if len(row) != self.curve.n or not all(is_int(c) and c >= 0 for c in row):
+                raise DivisorError(f"each class row needs a count >= 0 per level: {row}")
             if sum(row) != self.curve.r(alpha):
                 raise DivisorError(f"row for class {alpha} must sum to r_{alpha}")
 
@@ -200,38 +210,27 @@ def enumerate_cardinality_matrices(
 
 
 def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[LeveledDivisor]:
-    """All level assignments with the given per-class counts, each exactly once."""
+    """All level assignments with the given per-class counts, each once, in
+    lexicographic order: each point in turn takes every level its class row
+    still has room for, which it takes from the row and gives back after."""
     if matrix.curve != spec:
         raise DivisorError("matrix belongs to a different curve")
-    n = spec.n
-    class_points = {a: [i for i, b in enumerate(spec.alphas) if b == a] for a in spec.classes}
+    room = {alpha: list(row) for alpha, row in matrix.counts}
+    levels = [0] * spec.point_count
 
-    def place(points: tuple[int, ...], row: tuple[int, ...], level: int) -> Iterator[dict]:
-        if level == n:
-            yield {}
+    def walk(i: int) -> Iterator[LeveledDivisor]:
+        if i == len(levels):
+            yield LeveledDivisor._unchecked(spec, tuple(levels), matrix.kind)
             return
-        for chosen in itertools.combinations(points, row[level]):
-            rest = tuple(p for p in points if p not in chosen)
-            for sub in place(rest, row, level + 1):
-                out = dict(sub)
-                for p in chosen:
-                    out[p] = level
-                yield out
+        row = room[spec.alphas[i]]
+        for level, left in enumerate(row):
+            if left:
+                row[level] -= 1
+                levels[i] = level
+                yield from walk(i + 1)
+                row[level] += 1
 
-    def rec(ci: int) -> Iterator[dict]:
-        if ci == len(matrix.counts):
-            yield {}
-            return
-        alpha, row = matrix.counts[ci]
-        for head in place(tuple(class_points[alpha]), row, 0):
-            for tail in rec(ci + 1):
-                merged = dict(tail)
-                merged.update(head)
-                yield merged
-
-    for assignment in rec(0):
-        levels = tuple(assignment[i] for i in range(spec.point_count))
-        yield LeveledDivisor(spec, levels, matrix.kind)
+    return walk(0)
 
 
 def enumerate_divisors(

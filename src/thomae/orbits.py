@@ -36,6 +36,7 @@ from .divisors import (
     _meets,
     _require_cap,
     _require_int,
+    _require_vertices,
     count_base_point_free,
     count_divisors,
     enumerate_divisors,
@@ -168,7 +169,7 @@ class OrbitGraph:
 
 def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGraph:
     """The operator graph on all valid shifted divisors, from one representative
-    per M-orbit; ``max_vertices`` caps the full vertex count.
+    per M-orbit; ``max_vertices`` caps the exact full vertex count before listing.
 
     Vertices come out in the canonical (lexicographic level vector) order.
     Every edge label names its generator; inverse edges are present for all
@@ -177,11 +178,8 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     spec.require_valid()
     if max_vertices is not None:
         _require_cap("max_vertices", max_vertices)
+        _require_vertices(spec, max_vertices)
     reps = tuple(_list_assignments(spec, DivisorKind.XI, _allowed(spec, DivisorKind.XI, 0)))
-    if max_vertices is not None and spec.n * len(reps) > max_vertices:
-        raise DivisorError(
-            f"{spec.n * len(reps)} vertices exceed the requested cap {max_vertices}"
-        )
     return OrbitGraph(spec, reps)
 
 
@@ -368,6 +366,10 @@ def fit_count_polynomial(
     appear once, and ``degree_hint`` is a non-negative integer.
     """
     _require_cap("degree_hint", degree_hint)
+    try:
+        counts = [(x, y) for x, y in counts]
+    except (TypeError, ValueError):
+        raise DivisorError(f"counts must be (n, count) pairs, got {counts!r}") from None
     for x, y in counts:
         _require_int("n", x)
         _require_int("count", y)

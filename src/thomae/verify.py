@@ -9,9 +9,9 @@ aborts early, so one run reports everything that is wrong.  The CLI exposes
 this as the ``verify`` command and turns findings into exit status 2.
 
 The shifted divisors are listed once per run, as level tuples (``_Run.xis``),
-and the checks call the integer kernels of ``operators`` and
-``denominators`` on them.  A ``LeveledDivisor`` is built only where a public
-function takes one: the slot-walk oracle and the evaluation check.
+once their exact count is within the cap.  The checks call the integer
+kernels of ``operators`` and ``denominators`` on them, the slot-walk oracle
+among them; only the evaluation check builds a ``LeveledDivisor``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .curve import CurveSpec
-from .denominators import EvalMode, _g, _h, _matrix, _q, _shift, degree, evaluate, full_denominator
+from .denominators import (EvalMode, _g, _h, _matrix, _q, _shift, _slot_walk, degree,
+                           evaluate, full_denominator)
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -35,6 +36,7 @@ from .divisors import (
     _list_assignments,
     _meets,
     _require_cap,
+    _require_vertices,
     satisfies_conditions,
     specialty_index,
 )
@@ -72,17 +74,10 @@ class _Run:
 
     @cached_property
     def xis(self) -> list[tuple[int, ...]]:
-        """The level tuples of the shifted divisors, enumerated once per run and
-        refused above the cap."""
+        """The XI level tuples, listed on first use once their exact count is within the cap."""
         spec, xi = self.spec, DivisorKind.XI
-        out = []
-        for levels in _list_assignments(spec, xi, _allowed(spec, xi, None)):
-            out.append(levels)
-            if len(out) > self.max_vertices:
-                raise DivisorError(
-                    f"more than {self.max_vertices} divisors; raise --max-vertices"
-                )
-        return out
+        _require_vertices(spec, self.max_vertices)
+        return list(_list_assignments(spec, xi, _allowed(spec, xi, None)))
 
 
 def _genus_sum(run: _Run) -> Iterator[str]:
@@ -174,9 +169,8 @@ def _denominators(run: _Run) -> Iterator[str]:
     for levels in run.xis:
         h = hs(levels)
         degrees.add(degree(_matrix(spec, h)))
-        xi = LeveledDivisor._unchecked(spec, levels, DivisorKind.XI)
         slots = sorted(set(zip(spec.alphas, levels)), reverse=True)
-        if full_denominator(xi, slot_order=slots)._values != h:
+        if _slot_walk(spec, levels, slots)._values != h:
             yield f"assembly order changes h at {levels}"
         if hs(_rotate(t, levels, 1)) != h:
             yield f"h not rotation invariant at {levels}"

@@ -47,6 +47,22 @@ CAUGHT = [
     ("divisors.py",
      "for rows in sorted(found):", "for rows in found:",
      "tests/test_divisors.py"),
+    ("divisors.py",
+     "if total > max_vertices:", "if total >= max_vertices:",
+     "tests/test_gate.py"),
+    ("divisors.py",  # the walk's restore step
+     "                row[level] += 1\n", "",
+     "tests/test_divisors.py"),
+    ("operators.py",  # N_beta off by one
+     "return (alpha * k_inverse(beta, n) - 1 - l) % n",
+     "return (alpha * k_inverse(beta, n) - l) % n",
+     "tests/test_operators.py"),
+    ("operators.py",  # N_beta reads T's b-reflection and T the a-reflection
+     "lambda a, l: a_value(b, a, l, n)))\n        self.reflections = cache("
+     "lambda b: self._maps(lambda a, l: b_value(",
+     "lambda a, l: b_value(b, a, l, n)))\n        self.reflections = cache("
+     "lambda b: self._maps(lambda a, l: a_value(",
+     "tests/test_operators.py"),
     ("operators.py",
      "lambda a, l: l - a * k", "lambda a, l: l + a * k",
      "tests/test_operators.py"),

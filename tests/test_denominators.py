@@ -270,7 +270,8 @@ def test_full_denominator_invariances(small_battery):
     for curve in small_battery:
         for xi in enumerate_divisors(curve, DivisorKind.XI):
             h = full_denominator(xi)
-            assert full_denominator(xi, slot_order=sorted(xi.sets(), reverse=True)) == h
+            reverse = sorted(xi.sets(), reverse=True)
+            assert denominators._slot_walk(xi.curve, xi.levels, reverse) == h
             assert full_denominator(apply_M(xi, 1)) == h
             for beta in curve.classes:
                 assert full_denominator(apply_N_beta(xi, beta)) == h
@@ -279,7 +280,8 @@ def test_full_denominator_invariances(small_battery):
         # vectors the one condition test against the per-k counts
         for levels in itertools.product(range(curve.n), repeat=curve.point_count):
             d = LeveledDivisor(curve, levels, DivisorKind.XI)
-            assert full_denominator(d) == full_denominator(d, slot_order=sorted(d.sets()))
+            walked = denominators._slot_walk(d.curve, d.levels, sorted(d.sets()))
+            assert full_denominator(d) == walked
             for kind in DivisorKind:
                 d = LeveledDivisor(curve, levels, kind)
                 lhs_holds = all(
@@ -297,8 +299,8 @@ def test_full_denominator_beyond_the_battery():
         levels = tuple(rng.randrange(curve.n) for _ in range(curve.point_count))
         d = LeveledDivisor(curve, levels, DivisorKind.XI)
         h = full_denominator(d)
-        assert h == full_denominator(d, slot_order=sorted(d.sets()))
-        assert h == full_denominator(d, slot_order=sorted(d.sets(), reverse=True))
+        assert h == denominators._slot_walk(d.curve, d.levels, sorted(d.sets()))
+        assert h == denominators._slot_walk(d.curve, d.levels, sorted(d.sets(), reverse=True))
 
 
 def test_slot_walk_refuses_an_order_that_is_not_the_nonempty_slots():
@@ -313,7 +315,7 @@ def test_slot_walk_refuses_an_order_that_is_not_the_nonempty_slots():
         slots[:2] + [(1, 6)],  # unoccupied; alpha * n + level names (2, 1) as well
     ):
         with pytest.raises(DivisorError, match="exactly the nonempty slots"):
-            full_denominator(xi, slot_order=order)
+            denominators._slot_walk(xi.curve, xi.levels, order)
 
 
 def test_slot_walk_in_a_shuffled_order_gives_h(full_battery):
@@ -322,7 +324,7 @@ def test_slot_walk_in_a_shuffled_order_gives_h(full_battery):
         for xi in enumerate_divisors(curve, DivisorKind.XI):
             slots = list(xi.sets())
             rng.shuffle(slots)
-            assert full_denominator(xi, slot_order=slots) == full_denominator(xi)
+            assert denominators._slot_walk(xi.curve, xi.levels, slots) == full_denominator(xi)
 
 
 def test_h_walks_each_slot_pair_from_the_lower_slot(monkeypatch, small_battery):
@@ -334,8 +336,9 @@ def test_h_walks_each_slot_pair_from_the_lower_slot(monkeypatch, small_battery):
     for curve in small_battery:
         for xi in enumerate_divisors(curve, DivisorKind.XI):
             h = full_denominator(xi)
-            assert h == full_denominator(xi, slot_order=sorted(xi.sets()))
-            differs += h != full_denominator(xi, slot_order=sorted(xi.sets(), reverse=True))
+            assert h == denominators._slot_walk(xi.curve, xi.levels, sorted(xi.sets()))
+            reverse = sorted(xi.sets(), reverse=True)
+            differs += h != denominators._slot_walk(xi.curve, xi.levels, reverse)
     assert differs > 100
 
 

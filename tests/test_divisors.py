@@ -357,6 +357,26 @@ def test_matrices_carry_their_kind(small_battery):
                 assert all(d.kind is kind for d in expand_matrix(matrix, curve))
 
 
+def test_expansion_is_the_listing_of_its_matrix_in_order(full_battery):
+    """Each matrix expands to exactly the listed divisors that have it, in the
+    listing's (lexicographic) order, for both kinds."""
+    for curve in full_battery:
+        members = [[i for i, a in enumerate(curve.alphas) if a == c] for c in curve.classes]
+        for kind in DivisorKind:
+            listed = {}
+            for d in enumerate_divisors(curve, kind):
+                rows = tuple(
+                    tuple(sum(1 for i in pts if d.levels[i] == l) for l in range(curve.n))
+                    for pts in members
+                )
+                listed.setdefault(rows, []).append(d.levels)
+            matrices = list(enumerate_cardinality_matrices(curve, kind))
+            assert len(matrices) == len(listed)
+            for matrix in matrices:
+                rows = tuple(row for _, row in matrix.counts)
+                assert [d.levels for d in expand_matrix(matrix, curve)] == listed[rows]
+
+
 def test_expand_single_assignment():
     curve = CurveSpec.from_alphas(3, [1, 1, 1])
     matrix = CardinalityMatrix(curve, ((1, (3, 0, 0)),), DivisorKind.XI)

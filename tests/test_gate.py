@@ -30,8 +30,9 @@ from thomae import (
     t_hat_partners,
     theta_relation_shift,
 )
-from thomae import build_graph, orbits, run_suite
+from thomae import build_graph, orbits, run_suite, verify
 from thomae.curve import is_int
+from thomae.divisors import CardinalityMatrix
 
 CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
 XI = LeveledDivisor(CURVE, (0, 0, 2, 1), DivisorKind.XI)  # point 0 at level 0
@@ -135,12 +136,47 @@ def test_curve_arguments_that_are_not_sequences_are_refused(name):
         ([(1, 1), (2, 2), (3, True)], "count must be an integer"),
         ([(1.0, 1), (2, 2), (3, 3)], "n must be an integer"),
         ([("3", 1), (2, 2), (4, 3)], "n must be an integer"),
+        ([(1, 1), (2, 2), (3, 3, 3)], r"counts must be \(n, count\) pairs"),
+        ([(1, 1), (2, 2), 5], r"counts must be \(n, count\) pairs"),
+        (7, r"counts must be \(n, count\) pairs"),
     ],
 )
 def test_fit_refuses_non_integer_n_and_counts(counts, match):
-    """Neither a bare ValueError from Fraction("x") nor a silent residual from 2.5."""
+    """Neither a bare ValueError from Fraction("x") nor a silent residual from
+    2.5; nor a bare ValueError or TypeError from unpacking a point that is not
+    an (n, count) pair, or from iterating counts that are not a sequence."""
     with pytest.raises(DivisorError, match=match):
         fit_count_polynomial(counts, 1)
+
+
+FOUR_POINTS = CurveSpec.from_alphas(4, [1, 1, 3, 3])
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        (((1, (2, 0, 0, 0)),), "rows must be the classes"),  # a class row missing
+        (((1, (2, 0, 0, 0)), (3, (2, 0, 0, 0)), (3, (2, 0, 0, 0))), "rows must be the classes"),
+        (((3, (2, 0, 0, 0)), (1, (2, 0, 0, 0))), "rows must be the classes"),  # out of order
+        (((1, (2.0, 0, 0, 0)), (3, (2, 0, 0, 0))), "a count >= 0 per level"),
+        (((1, (1, 1, 0, 0)), (3, (1, 0, True, 0))), "a count >= 0 per level"),
+        (((1, (3, -1, 0, 0)), (3, (2, 0, 0, 0))), "a count >= 0 per level"),  # sums to r_1
+    ],
+)
+def test_cardinality_matrix_rows_are_the_classes_with_counts_at_least_zero(rows, match):
+    """One row per class in curve order, each of non-negative integers: never a
+    bare KeyError or TypeError from the expansion, nor a matrix that expands
+    to nothing."""
+    with pytest.raises(DivisorError, match=match):
+        CardinalityMatrix(FOUR_POINTS, rows, DivisorKind.XI)
+
+
+def test_cardinality_matrix_kind_is_a_divisor_kind():
+    """The expansion builds its divisors unchecked, so the matrix checks the kind."""
+    rows = ((1, (2, 0, 0, 0)), (3, (2, 0, 0, 0)))
+    assert CardinalityMatrix(FOUR_POINTS, rows, DivisorKind.XI).kind is DivisorKind.XI
+    with pytest.raises(DivisorError, match="kind must be a DivisorKind"):
+        CardinalityMatrix(FOUR_POINTS, rows, "xi")
 
 
 @pytest.mark.parametrize("n", [5.0, "5", True])
@@ -177,3 +213,24 @@ def test_a_vertex_cap_of_zero_or_none():
         build_graph(CURVE, max_vertices=0)
     uncapped = build_graph(CURVE).vertex_count
     assert uncapped == build_graph(CURVE, max_vertices=uncapped).vertex_count > 0
+
+
+def test_vertex_caps_are_checked_on_the_exact_count_before_any_listing(monkeypatch):
+    """Past the cap both refuse with the exact count and list nothing; at the
+    count both run.  n = 31 [1^4, 30^4] has 648,301 representatives to list."""
+
+    def listing(*args):
+        raise AssertionError("listed divisors before checking the cap")
+
+    for module in (orbits, verify):
+        monkeypatch.setattr(module, "_list_assignments", listing)
+    large = CurveSpec.from_alphas(31, [1] * 4 + [30] * 4)
+    for curve, total, cap in ((CURVE, 30, 29), (large, 20_097_331, 100_000)):
+        message = f"^{total} vertices exceed the requested cap {cap}$"
+        with pytest.raises(DivisorError, match=message):
+            build_graph(curve, max_vertices=cap)
+        with pytest.raises(DivisorError, match=message):
+            run_suite(curve, ["operators"], max_vertices=cap)
+    monkeypatch.undo()
+    assert build_graph(CURVE, max_vertices=30).vertex_count == 30
+    assert run_suite(CURVE, ["operators"], max_vertices=30) == (["operators"], [])
