@@ -202,8 +202,6 @@ def _cmd_orbits(args, curve):
 
 
 def _cmd_counts(args, family):
-    from dataclasses import asdict
-
     from .divisors import DivisorError
     from .orbits import FamilySpec, count_family
 
@@ -215,7 +213,7 @@ def _cmd_counts(args, family):
     if hi < lo:
         raise DivisorError(f"--n-range {args.n_range!r} runs backwards")
     report = count_family(family, range(lo, hi + 1), fit=args.fit)
-    counts = [{**asdict(c), "per_point_avoid": list(c.per_point_avoid)} for c in report.counts]
+    counts = [{**c._asdict(), "per_point_avoid": list(c.per_point_avoid)} for c in report.counts]
     fields = {"family": {"c": list(family.c), "d": list(family.d)}, "counts": counts}
     if report.fit:
         fields["fit"] = {
@@ -226,8 +224,6 @@ def _cmd_counts(args, family):
 
 
 def _cmd_verify(args, curve):
-    from dataclasses import asdict
-
     from .divisors import DivisorError
     from .verify import run_suite
 
@@ -235,7 +231,7 @@ def _cmd_verify(args, curve):
         raise DivisorError(f"curve has n = {curve.n} above --max-n = {args.max_n}")
     checks = None if args.suite == "all" else args.suite.split(",")
     ran, findings = run_suite(curve, checks, max_vertices=args.max_vertices, seed=args.seed)
-    return {"checks": ran, "findings": [asdict(f) for f in findings], "ok": not findings}, None
+    return {"checks": ran, "findings": [f._asdict() for f in findings], "ok": not findings}, None
 
 
 def build_parser() -> argparse.ArgumentParser:

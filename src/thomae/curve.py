@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -39,22 +39,61 @@ def e_factor(n: int) -> int:
     return 1 if n % 2 == 0 else 2
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class _Value:
+    """An immutable record whose subclass names its fields once in ``_fields`` and
+    passes their values, in that order, to ``_Value.__init__``.  Equality and
+    hashing read the fields through one ``attrgetter`` and hold only within a
+    class; assigning or deleting any attribute raises ``AttributeError``
+    (``cached_property`` writes to the instance dict, so it still works)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return {name: getattr(self, name) for name in self._fields}
+
+
+class BranchPoint(_Value):
     """One branch point: its exponent class, optional label and optional z-value."""
 
-    alpha: int
-    label: Optional[str] = None
-    lam: Optional[Fraction] = None
+    _fields = ("alpha", "label", "lam")
+
+    def __init__(self, alpha: int, label: Optional[str] = None, lam: Optional[Fraction] = None):
+        super().__init__(alpha, label, lam)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(_Value):
     """A curve as n and its branch points.  Equality and hashing see only
     these two fields; the derived arithmetic is computed once, on first use."""
 
-    n: int
-    points: tuple[BranchPoint, ...]
+    _fields = ("n", "points")
+
+    def __init__(self, n: int, points: tuple[BranchPoint, ...]):
+        super().__init__(n, points)
 
     @classmethod
     def from_alphas(

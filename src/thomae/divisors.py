@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, getitem, lt, sub
 from typing import Iterator, Optional
 
-from .curve import CurveSpec, is_int
+from .curve import CurveSpec, _Value, is_int
 
 
 class DivisorError(ValueError):
@@ -79,27 +78,24 @@ class DivisorKind(Enum):
         return spec.n - 1 if self is DivisorKind.DELTA else 0
 
 
-@dataclass(frozen=True)
-class LeveledDivisor:
-    curve: CurveSpec
-    levels: tuple[int, ...]
-    kind: DivisorKind
+class LeveledDivisor(_Value):
+    _fields = ("curve", "levels", "kind")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, DivisorKind):
-            raise DivisorError(f"kind must be a DivisorKind, got {self.kind!r}")
-        n = self.curve.n
+    def __init__(self, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
+        if not isinstance(kind, DivisorKind):
+            raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
+        n = curve.n
         try:
-            levels = tuple(self.levels)
+            levels = tuple(levels)
         except TypeError:
-            raise DivisorError(f"levels must be a sequence, got {self.levels!r}") from None
-        object.__setattr__(self, "levels", levels)
-        if len(levels) != self.curve.point_count:
+            raise DivisorError(f"levels must be a sequence, got {levels!r}") from None
+        if len(levels) != curve.point_count:
             raise DivisorError("one level per branch point required")
         if not all(map(is_int, levels)):
             raise DivisorError(f"levels must be integers: {levels}")
         if levels and (min(levels) < 0 or max(levels) > n - 1):
             raise DivisorError(f"levels must lie in 0..{n - 1}: {levels}")
+        super().__init__(curve, levels, kind)
 
     @classmethod
     def _unchecked(cls, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
@@ -165,25 +161,28 @@ def divisor_from_exponents(
 # enumeration
 
 
-@dataclass(frozen=True)
-class CardinalityMatrix:
+class CardinalityMatrix(_Value):
     """Per-class level counts c_{alpha, l} of divisors of one kind: one row per
-    class, in curve order, of non-negative integers; row alpha sums to r_alpha."""
+    class, in curve order, of non-negative integers; row alpha sums to r_alpha.
+    ``counts`` holds the (alpha, counts over levels) pairs, as tuples."""
 
-    curve: CurveSpec
-    counts: tuple[tuple[int, tuple[int, ...]], ...]  # (alpha, counts over levels)
-    kind: DivisorKind
+    _fields = ("curve", "counts", "kind")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, DivisorKind):
-            raise DivisorError(f"kind must be a DivisorKind, got {self.kind!r}")
-        if tuple(alpha for alpha, _ in self.counts) != self.curve.classes:
-            raise DivisorError(f"rows must be the classes {self.curve.classes}, in order")
-        for alpha, row in self.counts:
-            if len(row) != self.curve.n or not all(is_int(c) and c >= 0 for c in row):
+    def __init__(self, curve: CurveSpec, counts, kind: DivisorKind):
+        if not isinstance(kind, DivisorKind):
+            raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
+        try:  # every pair and every row is taken apart here, and nowhere unguarded
+            counts = tuple((alpha, tuple(row)) for alpha, row in counts)
+        except (TypeError, ValueError):
+            raise DivisorError(f"counts must be (alpha, row) pairs, got {counts!r}") from None
+        if tuple(alpha for alpha, _ in counts) != curve.classes:
+            raise DivisorError(f"rows must be the classes {curve.classes}, in order")
+        for alpha, row in counts:
+            if len(row) != curve.n or not all(is_int(c) and c >= 0 for c in row):
                 raise DivisorError(f"each class row needs a count >= 0 per level: {row}")
-            if sum(row) != self.curve.r(alpha):
+            if sum(row) != curve.r(alpha):
                 raise DivisorError(f"row for class {alpha} must sum to r_{alpha}")
+        super().__init__(curve, counts, kind)
 
 
 def enumerate_cardinality_matrices(
@@ -213,6 +212,8 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
     """All level assignments with the given per-class counts, each once, in
     lexicographic order: each point in turn takes every level its class row
     still has room for, which it takes from the row and gives back after."""
+    if not isinstance(matrix, CardinalityMatrix):
+        raise DivisorError(f"not a CardinalityMatrix: {matrix!r}")
     if matrix.curve != spec:
         raise DivisorError("matrix belongs to a different curve")
     room = {alpha: list(row) for alpha, row in matrix.counts}

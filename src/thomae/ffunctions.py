@@ -14,11 +14,10 @@ and ``f_closed_form`` covers the cases with a known closed expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .curve import is_int
+from .curve import _Value, is_int
 
 
 class FFunctionError(ValueError):
@@ -36,27 +35,22 @@ def _check_coprime(n: int, d: int) -> None:
         raise FFunctionError(f"d = {d} must lie in 1..{n - 1} and be prime to n = {n}")
 
 
-@dataclass(frozen=True)
-class FFunctionTable:
+class FFunctionTable(_Value):
     """Values of f^(n)_d on {0..n-1} together with c^(n)_d = max f."""
 
-    n: int
-    d: int
-    values: tuple[int, ...]
-    cmax: int = field(init=False)
+    _fields = ("n", "d", "values", "cmax")
 
-    def __post_init__(self):
-        n, d, vals = self.n, self.d, self.values
-        if len(vals) != n:
+    def __init__(self, n: int, d: int, values: tuple[int, ...]):
+        if len(values) != n:
             raise FFunctionError(f"table for n = {n} must have {n} entries")
-        if vals[0] != 0 or vals[n - 1] != n - 1:
+        if values[0] != 0 or values[n - 1] != n - 1:
             raise FFunctionError(f"f^({n})_{d} must have f(0) = 0 and f(n-1) = n-1")
         for l in range(n):
-            if vals[(d - 1 - l) % n] != vals[l]:
+            if values[(d - 1 - l) % n] != values[l]:
                 raise FFunctionError(f"reflection identity fails at l = {l}")
-            if vals[(l + d) % n] != vals[l] + n - 1 - 2 * l:
+            if values[(l + d) % n] != values[l] + n - 1 - 2 * l:
                 raise FFunctionError(f"step identity fails at l = {l}")
-        object.__setattr__(self, "cmax", max(vals))
+        super().__init__(n, d, values, max(values))
 
     def __getitem__(self, l: int) -> int:
         return self.values[l % self.n]

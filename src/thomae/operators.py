@@ -13,12 +13,11 @@ and wrap its image unvalidated, as every kernel reduces its levels mod n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from operator import eq, getitem
 
-from .curve import is_int, k_inverse
+from .curve import _Value, is_int, k_inverse
 from .divisors import DivisorError, DivisorKind, LeveledDivisor, _require_int, _require_points
 
 
@@ -208,18 +207,15 @@ def base_point_representative(xi: LeveledDivisor, q_id: int) -> LeveledDivisor:
 # the dihedral group of order 2n generated by M and N
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Normal form M^shift or M^shift . N (apply N first, then the rotation)."""
 
-    n: int
-    shift: int
-    reflect: bool
+    _fields = ("n", "shift", "reflect")
 
-    def __post_init__(self):
-        if not (is_int(self.n) and is_int(self.shift)) or self.n < 2:
-            raise DivisorError(f"need an integer n >= 2 and shift, got {self.n!r}, {self.shift!r}")
-        object.__setattr__(self, "shift", self.shift % self.n)
+    def __init__(self, n: int, shift: int, reflect: bool):
+        if not (is_int(n) and is_int(shift)) or n < 2:
+            raise DivisorError(f"need an integer n >= 2 and shift, got {n!r}, {shift!r}")
+        super().__init__(n, shift % n, reflect)
 
     @classmethod
     def negation(cls, n: int, beta: int) -> "GroupElement":

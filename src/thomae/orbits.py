@@ -20,13 +20,11 @@ edges are expanded only when read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .curve import CurveSpec, is_int, k_inverse
+from .curve import CurveSpec, _Value, is_int, k_inverse
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -43,12 +41,15 @@ from .divisors import (
 )
 from .operators import _partners, _reflect, _rotate, _swap_hat, _tables
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Edge:
-    source: int
-    target: int
-    label: str
+
+class Edge(_Value):
+    _fields = ("source", "target", "label")
+
+    def __init__(self, source: int, target: int, label: str):
+        super().__init__(source, target, label)
 
 
 def _search(start, neighbours, goal=None) -> dict:
@@ -65,8 +66,7 @@ def _search(start, neighbours, goal=None) -> dict:
     return parent
 
 
-@dataclass
-class OrbitGraph:
+class OrbitGraph(_Value):
     """The operator graph, held as its M-orbit representatives.
 
     reps are the vertices with point 0 at level 0, ascending.  Every walk
@@ -74,8 +74,10 @@ class OrbitGraph:
     (ascending level tuples) and the edges are built when read.
     """
 
-    curve: CurveSpec
-    reps: tuple[tuple[int, ...], ...]
+    _fields = ("curve", "reps")
+
+    def __init__(self, curve: CurveSpec, reps: tuple[tuple[int, ...], ...]):
+        super().__init__(curve, reps)
 
     @cached_property
     def _t(self):
@@ -257,22 +259,21 @@ def difbeta_reachability(
 # family counting
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """The sweep family w^n = prod (z-l_i)^{c_i} prod (z-m_i)^{n-d_i}."""
 
-    c: tuple[int, ...]
-    d: tuple[int, ...]
+    _fields = ("c", "d")
 
-    def __post_init__(self):
-        if not all(is_int(v) for v in self.c + self.d):
+    def __init__(self, c: tuple[int, ...], d: tuple[int, ...]):
+        if not all(is_int(v) for v in c + d):
             raise DivisorError("exponents must be integers")
-        if sum(self.c) != sum(self.d):
+        if sum(c) != sum(d):
             raise DivisorError("the c and d exponent sums must agree")
-        if not self.c or not self.d:
+        if not c or not d:
             raise DivisorError("both exponent lists must be nonempty")
-        if any(v < 1 for v in self.c + self.d):
+        if any(v < 1 for v in c + d):
             raise DivisorError("exponents must be positive")
+        super().__init__(c, d)
 
     def curve(self, n: int) -> Optional[CurveSpec]:
         """The member curve at level n, or None when it degenerates."""
@@ -283,22 +284,21 @@ class FamilySpec:
         return spec if not spec.validate() else None
 
 
-@dataclass(frozen=True)
-class FamilyCount:
-    n: int
-    skipped: bool
-    total_divisors: int = 0
-    xi_divisors: int = 0
-    m_orbits: int = 0
-    base_point_free_xi: int = 0
-    per_point_avoid: tuple[int, ...] = ()
+class FamilyCount(_Value):
+    _fields = ("n", "skipped", "total_divisors", "xi_divisors", "m_orbits",
+               "base_point_free_xi", "per_point_avoid")
+
+    def __init__(self, n: int, skipped: bool, total_divisors: int = 0, xi_divisors: int = 0,
+                 m_orbits: int = 0, base_point_free_xi: int = 0, per_point_avoid: tuple = ()):
+        super().__init__(n, skipped, total_divisors, xi_divisors, m_orbits,
+                         base_point_free_xi, per_point_avoid)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    family: FamilySpec
-    counts: tuple[FamilyCount, ...]
-    fit: Optional[dict] = None
+class CountReport(_Value):
+    _fields = ("family", "counts", "fit")
+
+    def __init__(self, family: FamilySpec, counts: tuple, fit: Optional[dict] = None):
+        super().__init__(family, counts, fit)
 
     def valid_counts(self) -> list[FamilyCount]:
         return [c for c in self.counts if not c.skipped]
@@ -365,6 +365,7 @@ def fit_count_polynomial(
     used because the claim under test is exact polynomiality.  Each n may
     appear once, and ``degree_hint`` is a non-negative integer.
     """
+    from fractions import Fraction  # here, so a job that fits nothing does not load it
     _require_cap("degree_hint", degree_hint)
     try:
         counts = [(x, y) for x, y in counts]
@@ -393,7 +394,7 @@ def fit_count_polynomial(
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+    acc = 0  # a Fraction after the first coefficient
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

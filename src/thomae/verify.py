@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
-from .curve import CurveSpec
+from .curve import CurveSpec, _Value
 from .denominators import (EvalMode, _g, _h, _matrix, _q, _shift, _slot_walk, degree,
                            evaluate, full_denominator)
 from .divisors import (
@@ -54,23 +53,24 @@ from .operators import (
 BRUTE_FORCE_LIMIT = 200_000  # the brute-force checks run only when n ** points is at most this
 
 
-@dataclass(frozen=True)
-class Finding:
-    check: str
-    reproducer: str
+class Finding(_Value):
+    _fields = ("check", "reproducer")
+
+    def __init__(self, check: str, reproducer: str):
+        super().__init__(check, reproducer)
 
     def __str__(self):
         return f"{self.check}: {self.reproducer}"
 
 
-@dataclass
-class _Run:
+class _Run(_Value):
     """What the checks of one run share: the curve, the seed, and the cap on
     the shifted divisors."""
 
-    spec: CurveSpec
-    seed: int
-    max_vertices: int
+    _fields = ("spec", "seed", "max_vertices")
+
+    def __init__(self, spec: CurveSpec, seed: int, max_vertices: int):
+        super().__init__(spec, seed, max_vertices)
 
     @cached_property
     def xis(self) -> list[tuple[int, ...]]:

@@ -26,6 +26,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file under src/thomae, exact old text, new text, test file that must fail)
 CAUGHT = [
+    ("curve.py",  # records that differ in their last field compare equal
+     "cls._key = attrgetter(*cls._fields)", "cls._key = attrgetter(*cls._fields[:-1])",
+     "tests/test_records.py"),
+    ("curve.py",  # a record equals one of another class with the same field values
+     "        if other.__class__ is not self.__class__:\n            return NotImplemented\n", "",
+     "tests/test_records.py"),
     ("curve.py",  # the range check fires only on a curve that is not valid
      "            if all(0 <= t - shift <= p for t in self.t_values[1:]) else None\n", "",
      "tests/test_divisors.py"),

@@ -32,7 +32,7 @@ from thomae import (
 )
 from thomae import build_graph, orbits, run_suite, verify
 from thomae.curve import is_int
-from thomae.divisors import CardinalityMatrix
+from thomae.divisors import CardinalityMatrix, expand_matrix
 
 CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
 XI = LeveledDivisor(CURVE, (0, 0, 2, 1), DivisorKind.XI)  # point 0 at level 0
@@ -161,14 +161,24 @@ FOUR_POINTS = CurveSpec.from_alphas(4, [1, 1, 3, 3])
         (((1, (2.0, 0, 0, 0)), (3, (2, 0, 0, 0))), "a count >= 0 per level"),
         (((1, (1, 1, 0, 0)), (3, (1, 0, True, 0))), "a count >= 0 per level"),
         (((1, (3, -1, 0, 0)), (3, (2, 0, 0, 0))), "a count >= 0 per level"),  # sums to r_1
+        (((1,),), r"counts must be \(alpha, row\) pairs"),  # a pair missing its row
+        (5, r"counts must be \(alpha, row\) pairs"),  # not a sequence
+        (((1, 5), (3, (2, 0, 0, 0))), r"counts must be \(alpha, row\) pairs"),  # row 5
     ],
 )
 def test_cardinality_matrix_rows_are_the_classes_with_counts_at_least_zero(rows, match):
     """One row per class in curve order, each of non-negative integers: never a
-    bare KeyError or TypeError from the expansion, nor a matrix that expands
-    to nothing."""
+    bare KeyError, ValueError or TypeError from unpacking the rows or from the
+    expansion, nor a matrix that expands to nothing."""
     with pytest.raises(DivisorError, match=match):
         CardinalityMatrix(FOUR_POINTS, rows, DivisorKind.XI)
+
+
+@pytest.mark.parametrize("matrix", [5, None, ((1, (2, 0, 0, 0)), (3, (2, 0, 0, 0)))])
+def test_expand_matrix_refuses_what_is_not_a_cardinality_matrix(matrix):
+    """A DivisorError, never a bare AttributeError from reading its curve."""
+    with pytest.raises(DivisorError, match="not a CardinalityMatrix"):
+        expand_matrix(matrix, FOUR_POINTS)
 
 
 def test_cardinality_matrix_kind_is_a_divisor_kind():

@@ -10,13 +10,17 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints, as JSON, the package modules and whether fractions is loaded after BODY
+# prints, as JSON, the package modules loaded after BODY and which of dataclasses,
+# fractions and inspect the body loaded itself: those in sys.modules after it and
+# not before, so a module that a site hook loads at startup does not count
 REPORT = """
 import json, sys
+before = set(sys.modules)
 {body}
 print(json.dumps({{
     "package": sorted(m for m in sys.modules if m == "thomae" or m.startswith("thomae.")),
-    "fractions": "fractions" in sys.modules,
+    "loaded": [m for m in ("dataclasses", "fractions", "inspect")
+               if m in sys.modules and m not in before],
 }}))
 """
 
@@ -58,7 +62,47 @@ assert json.loads(out.getvalue())["count"] == 30
 """
     got = loaded(body, cwd=tmp_path)
     assert got["package"] == ["thomae", "thomae.cli", "thomae.curve", "thomae.divisors"]
-    assert not got["fractions"]
+    assert got["loaded"] == []
+
+
+def curve(n: int, *alphas: int) -> dict:
+    return {"n": n, "points": [{"alpha": a} for a in alphas]}
+
+
+# name -> (the command and its options, the document its input flag names)
+JOBS = {
+    "count": (["enumerate", "--count-only"], curve(5, 1, 1, 1, 2)),
+    "verify": (["verify"], curve(7, 1, 1, 1, 1, 1, 2)),
+    "counts-fit": (["counts", "--n-range", "2..6", "--fit"], {"c": [1, 1, 1], "d": [1, 1, 1]}),
+    "orbits": (["orbits"], curve(5, 1, 1, 1, 2)),
+}
+
+
+def job_loads(name: str, tmp_path) -> list[str]:
+    """Which of dataclasses, fractions and inspect one ``main`` job loads; it must exit 0."""
+    argv, document = JOBS[name]
+    (tmp_path / "in.json").write_text(json.dumps(document), encoding="utf-8")
+    flag = "--family" if argv[0] == "counts" else "--curve"
+    body = f"""
+import contextlib, io
+from thomae.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({[argv[0], flag, "in.json", *argv[1:]]!r}) == 0
+"""
+    return loaded(body, cwd=tmp_path)["loaded"]
+
+
+@pytest.mark.parametrize("name", ["count", "verify", "counts-fit"])
+def test_jobs_load_neither_dataclasses_nor_inspect(name, tmp_path):
+    """The package's records are plain classes: no job pays for ``dataclasses``
+    and the ``inspect``, ``ast`` and ``tokenize`` that it loads."""
+    got = job_loads(name, tmp_path)
+    assert "dataclasses" not in got and "inspect" not in got
+
+
+def test_orbits_job_does_not_load_fractions(tmp_path):
+    """Only a polynomial fit needs ``fractions`` in ``orbits``."""
+    assert "fractions" not in job_loads("orbits", tmp_path)
 
 
 def test_star_import_binds_every_export_to_its_module_object():
