@@ -40,10 +40,10 @@ def e_factor(n: int) -> int:
 
 
 class _Value:
-    """An immutable record whose subclass names its fields once in ``_fields`` and
-    passes their values, in that order, to ``_Value.__init__``.  Equality and
-    hashing read the fields through one ``attrgetter`` and hold only within a
-    class; assigning or deleting any attribute raises ``AttributeError``
+    """An immutable record whose subclass names its fields once in ``_fields``;
+    ``__init__`` binds values by position, then by name, each field exactly once.
+    Equality and hashing read the fields through one ``attrgetter`` and hold only
+    within a class; assigning or deleting any attribute raises ``AttributeError``
     (``cached_property`` writes to the instance dict, so it still works)."""
 
     _fields: tuple[str, ...] = ()
@@ -51,7 +51,11 @@ class _Value:
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._fields)
 
-    def __init__(self, *values) -> None:
+    def __init__(self, *values, **named) -> None:
+        if named:  # a call by position alone builds no generator
+            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
+        if len(values) != len(self._fields) or named:
+            raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} once")
         self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other):
@@ -91,9 +95,6 @@ class CurveSpec(_Value):
     these two fields; the derived arithmetic is computed once, on first use."""
 
     _fields = ("n", "points")
-
-    def __init__(self, n: int, points: tuple[BranchPoint, ...]):
-        super().__init__(n, points)
 
     @classmethod
     def from_alphas(

@@ -47,8 +47,8 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Mapping, Optional
 
-from .curve import CurveSpec, e_factor, is_int, k_inverse
-from .divisors import DivisorError, LeveledDivisor, _require_int, _require_points
+from .curve import CurveSpec, _Value, e_factor, is_int, k_inverse
+from .divisors import DivisorError, LeveledDivisor, _require_curve, _require_int, _require_points
 from .ffunctions import c_constant, f_chain
 from .operators import _negate, _require_swap_pair, _require_xi, _tables
 
@@ -58,21 +58,21 @@ class EvalMode(Enum):
     LOG_ABS = "log"
 
 
-class ExponentMatrix:
+class ExponentMatrix(_Value):
     """Symmetric integer matrix over unordered branch-point pairs.
 
     Entries are unit exponents; the realized power of z(P_i) - z(P_j) is
-    e * n * entry.  Value object: equality is entrywise, instances are
-    immutable.  The entries are held as the kernels' dense tuple, in
-    ``_pairs`` order.
+    e * n * entry.  Value object: equality is entrywise on one curve, and
+    instances are immutable.  The entries are held as the kernels' dense
+    tuple, in ``_pairs`` order.
     """
 
-    __slots__ = ("curve", "_values")
+    _fields = ("curve", "_values")
 
     def __init__(self, curve: CurveSpec, entries: Optional[Mapping[tuple[int, int], int]] = None):
         """Entries keyed by point pairs in either order; each unordered pair of
         two distinct points of the curve may be given once."""
-        p = curve.point_count
+        p = _require_curve(curve).point_count
         values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
         for pair, v in (entries or {}).items():
@@ -89,8 +89,7 @@ class ExponentMatrix:
             if not is_int(v):
                 raise DivisorError(f"pair {key} has exponent {v!r}, not an integer")
             values[_pair_rows(p)[i][j]] = v
-        self.curve = curve
-        self._values = tuple(values)
+        super().__init__(curve, tuple(values))
 
     def unit_exponent(self, i: int, j: int) -> int:
         _require_points(self.curve, i, j)
@@ -103,16 +102,6 @@ class ExponentMatrix:
     def items(self) -> list[tuple[tuple[int, int], int]]:
         """The nonzero entries, in ascending pair order."""
         return [(pair, v) for pair, v in zip(_pairs(self.curve.point_count), self._values) if v]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExponentMatrix)
-            and self.curve == other.curve
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.curve, self._values))
 
     def __bool__(self) -> bool:
         return any(self._values)
@@ -179,8 +168,8 @@ def _pair_rows(p: int) -> tuple[tuple[int, ...], ...]:
 
 def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
     """The matrix of a dense tuple in ``_pairs`` order, taken as it is."""
-    out = ExponentMatrix.__new__(ExponentMatrix)
-    out.curve, out._values = curve, values
+    out = object.__new__(ExponentMatrix)
+    out.__dict__.update(curve=curve, _values=values)
     return out
 
 

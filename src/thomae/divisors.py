@@ -55,6 +55,23 @@ def _require_vertices(spec: CurveSpec, max_vertices: int) -> None:
         raise DivisorError(f"{total} vertices exceed the requested cap {max_vertices}")
 
 
+def _require_curve(curve) -> CurveSpec:
+    if not isinstance(curve, CurveSpec):
+        raise DivisorError(f"curve must be a CurveSpec, got {curve!r}")
+    return curve
+
+
+def _require_ints(what: str, values) -> tuple:
+    """``values`` as a tuple, once each of them is known to be an integer."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DivisorError(f"{what} must be a sequence, got {values!r}") from None
+    if not all(map(is_int, values)):
+        raise DivisorError(f"{what} must be integers: {values}")
+    return values
+
+
 def _require_points(spec: CurveSpec, *points) -> None:
     """Each of ``points`` is the integer index of a point of ``spec``."""
     for p in points:
@@ -84,15 +101,9 @@ class LeveledDivisor(_Value):
     def __init__(self, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
         if not isinstance(kind, DivisorKind):
             raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
-        n = curve.n
-        try:
-            levels = tuple(levels)
-        except TypeError:
-            raise DivisorError(f"levels must be a sequence, got {levels!r}") from None
+        n, levels = _require_curve(curve).n, _require_ints("levels", levels)
         if len(levels) != curve.point_count:
             raise DivisorError("one level per branch point required")
-        if not all(map(is_int, levels)):
-            raise DivisorError(f"levels must be integers: {levels}")
         if levels and (min(levels) < 0 or max(levels) > n - 1):
             raise DivisorError(f"levels must lie in 0..{n - 1}: {levels}")
         super().__init__(curve, levels, kind)
@@ -147,13 +158,11 @@ def divisor_from_exponents(
 ) -> LeveledDivisor:
     """Levels from raw exponents; exponents of n or more are rejected outright
     (reducing them is a linear-equivalence step this type does not perform)."""
-    if any(v >= curve.n for v in exponents):
-        raise DivisorError(
-            f"exponent {max(exponents)} >= n = {curve.n}; reduce the divisor first"
-        )
+    n, exponents = _require_curve(curve).n, _require_ints("exponents", exponents)
+    if any(v >= n for v in exponents):
+        raise DivisorError(f"exponent {max(exponents)} >= n = {n}; reduce the divisor first")
     if any(v < 0 for v in exponents):
         raise DivisorError("exponents must be non-negative")
-    n = curve.n
     return LeveledDivisor(curve, tuple(n - 1 - v for v in exponents), kind)
 
 
@@ -241,7 +250,7 @@ def enumerate_divisors(
     their levels; with ``avoid`` set, those with that point at
     ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` stored
     level tuples."""
-    for levels in _list_assignments(spec, kind, _allowed(spec, kind, avoid)):
+    for levels in _list_assignments(_require_curve(spec), kind, _allowed(spec, kind, avoid)):
         yield LeveledDivisor._unchecked(spec, levels, kind)
 
 
@@ -285,7 +294,8 @@ def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ..
 def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivisor]:
     """The divisors of ``kind`` among all n^points level assignments, in product
     order, by the oracle's walk (``_brute_force_levels``)."""
-    return [LeveledDivisor(spec, levels, kind) for levels in _brute_force_levels(spec)[kind]]
+    found = _brute_force_levels(_require_curve(spec))[kind]
+    return [LeveledDivisor(spec, levels, kind) for levels in found]
 
 
 STATE_BUDGET = 1_000_000  # partial sums in a half-table of a count; level tuples a listing stores
@@ -361,9 +371,10 @@ def count_divisors(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int] = No
     """Exact count of valid divisors by a packed-vector meet in the middle; with
     ``avoid`` set, of those with that point at ``kind.avoided_level``.  Raises
     DivisorError past ``STATE_BUDGET`` sums."""
-    return _count_assignments(spec, kind, _allowed(spec, kind, avoid))
+    return _count_assignments(_require_curve(spec), kind, _allowed(spec, kind, avoid))
 
 
 def count_base_point_free(spec: CurveSpec) -> int:
     """Shifted divisors in which no point sits at level 0 (no base-point form)."""
-    return _count_assignments(spec, DivisorKind.XI, [range(1, spec.n)] * spec.point_count)
+    allowed = [range(1, _require_curve(spec).n)] * spec.point_count
+    return _count_assignments(spec, DivisorKind.XI, allowed)

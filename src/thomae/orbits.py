@@ -33,6 +33,7 @@ from .divisors import (
     _list_assignments,
     _meets,
     _require_cap,
+    _require_curve,
     _require_int,
     _require_vertices,
     count_base_point_free,
@@ -47,9 +48,6 @@ if TYPE_CHECKING:
 
 class Edge(_Value):
     _fields = ("source", "target", "label")
-
-    def __init__(self, source: int, target: int, label: str):
-        super().__init__(source, target, label)
 
 
 def _search(start, neighbours, goal=None) -> dict:
@@ -75,9 +73,6 @@ class OrbitGraph(_Value):
     """
 
     _fields = ("curve", "reps")
-
-    def __init__(self, curve: CurveSpec, reps: tuple[tuple[int, ...], ...]):
-        super().__init__(curve, reps)
 
     @cached_property
     def _t(self):
@@ -177,7 +172,7 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     Every edge label names its generator; inverse edges are present for all
     generators, so the graph is symmetric-closed.
     """
-    spec.require_valid()
+    _require_curve(spec).require_valid()
     if max_vertices is not None:
         _require_cap("max_vertices", max_vertices)
         _require_vertices(spec, max_vertices)
@@ -265,6 +260,8 @@ class FamilySpec(_Value):
     _fields = ("c", "d")
 
     def __init__(self, c: tuple[int, ...], d: tuple[int, ...]):
+        if not (isinstance(c, tuple) and isinstance(d, tuple)):
+            raise DivisorError("the exponent lists c and d must be tuples")
         if not all(is_int(v) for v in c + d):
             raise DivisorError("exponents must be integers")
         if sum(c) != sum(d):
@@ -296,9 +293,6 @@ class FamilyCount(_Value):
 
 class CountReport(_Value):
     _fields = ("family", "counts", "fit")
-
-    def __init__(self, family: FamilySpec, counts: tuple, fit: Optional[dict] = None):
-        super().__init__(family, counts, fit)
 
     def valid_counts(self) -> list[FamilyCount]:
         return [c for c in self.counts if not c.skipped]

@@ -35,6 +35,7 @@ from .divisors import (
     _list_assignments,
     _meets,
     _require_cap,
+    _require_curve,
     _require_vertices,
     satisfies_conditions,
     specialty_index,
@@ -56,9 +57,6 @@ BRUTE_FORCE_LIMIT = 200_000  # the brute-force checks run only when n ** points 
 class Finding(_Value):
     _fields = ("check", "reproducer")
 
-    def __init__(self, check: str, reproducer: str):
-        super().__init__(check, reproducer)
-
     def __str__(self):
         return f"{self.check}: {self.reproducer}"
 
@@ -68,9 +66,6 @@ class _Run(_Value):
     the shifted divisors."""
 
     _fields = ("spec", "seed", "max_vertices")
-
-    def __init__(self, spec: CurveSpec, seed: int, max_vertices: int):
-        super().__init__(spec, seed, max_vertices)
 
     @cached_property
     def xis(self) -> list[tuple[int, ...]]:
@@ -246,7 +241,7 @@ def run_suite(
     seed: int = 0,
 ) -> tuple[list[str], list[Finding]]:
     """Run the named checks (all by default); returns (checks run, findings)."""
-    spec.require_valid()
+    _require_curve(spec).require_valid()
     _require_cap("max_vertices", max_vertices)
     names = list(_CHECKS) if checks is None else list(checks)
     unknown = [name for name in names if name not in _CHECKS]

@@ -1,6 +1,7 @@
 """Every public function that takes a point index or an exponent class refuses
 anything but an integer with DivisorError or CurveError, and gives a result or
-one of those refusals for any integer."""
+one of those refusals for any integer; one that takes a curve refuses anything
+but a CurveSpec, and exponent lists refuse what is not a sequence of integers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,13 @@ from thomae import (
     apply_T,
     apply_T_hat,
     base_point_representative,
+    brute_force_divisors,
+    count_base_point_free,
     count_divisors,
     count_family,
     difbeta_hypothesis,
     difbeta_reachability,
+    divisor_from_exponents,
     enumerate_divisors,
     fit_count_polynomial,
     pmt_denominator,
@@ -126,6 +130,59 @@ def test_curve_arguments_that_are_not_sequences_are_refused(name):
     call, what = NOT_SEQUENCES[name]
     with pytest.raises(CurveError, match=f"{what} must be a sequence"):
         call()
+
+
+# name -> a call that takes the curve as its first argument
+CURVE_CALLS = {
+    "LeveledDivisor": lambda curve: LeveledDivisor(curve, (0, 0, 2, 1), DivisorKind.XI),
+    "divisor_from_exponents": lambda curve: divisor_from_exponents(curve, (4, 4, 2, 3),
+                                                                   DivisorKind.XI),
+    "ExponentMatrix": lambda curve: ExponentMatrix(curve, {(0, 1): 1}),
+    "count_divisors": lambda curve: count_divisors(curve, DivisorKind.XI),
+    "count_base_point_free": count_base_point_free,
+    "enumerate_divisors": lambda curve: list(enumerate_divisors(curve, DivisorKind.XI)),
+    "brute_force_divisors": lambda curve: brute_force_divisors(curve, DivisorKind.XI),
+    "build_graph": build_graph,
+    "run_suite": run_suite,
+}
+
+
+@pytest.mark.parametrize("name", CURVE_CALLS)
+@pytest.mark.parametrize(
+    "curve", [5, None, "5", (1, 1, 1, 2), {"n": 5, "points": [{"alpha": 1}] * 5}],
+    ids=["int", "none", "str", "alphas", "document"],
+)
+def test_a_curve_that_is_not_a_curve_spec_is_refused(name, curve):
+    """A DivisorError, never a bare AttributeError from reading n or point_count;
+    the same call on the curve itself gives a result."""
+    call = CURVE_CALLS[name]
+    call(CURVE)
+    with pytest.raises(DivisorError, match="curve must be a CurveSpec, got "):
+        call(curve)
+
+
+@pytest.mark.parametrize(
+    "c, d, match",
+    [([1, 1], (1, 1), "must be tuples"), ((1, 1), [1, 1], "must be tuples"),
+     (5, (1,), "must be tuples"), ((1,), "1", "must be tuples"),
+     ((1, 1.0), (1, 1), "must be integers"), ((True,), (1,), "must be integers")],
+)
+def test_family_exponents_are_tuples_of_integers(c, d, match):
+    """Never a bare TypeError from adding a list to a tuple or an int to a tuple."""
+    with pytest.raises(DivisorError, match=match):
+        FamilySpec(c, d)
+
+
+@pytest.mark.parametrize(
+    "exponents, what",
+    [(5, "a sequence"), (None, "a sequence"), ((4, "x", 2, 3), "integers"),
+     ((4, 4, 2.5, 3), "integers"), ((4, 4, 2.0, 3), "integers"), ((4, True, 2, 3), "integers")],
+)
+def test_divisor_exponents_are_a_sequence_of_integers(exponents, what):
+    """Never a bare TypeError from iterating an int or comparing a string with n."""
+    assert divisor_from_exponents(CURVE, (4, 4, 2, 3), DivisorKind.XI) == XI
+    with pytest.raises(DivisorError, match=f"exponents must be {what}"):
+        divisor_from_exponents(CURVE, exponents, DivisorKind.XI)
 
 
 @pytest.mark.parametrize(

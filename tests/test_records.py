@@ -5,7 +5,8 @@ and never changed after construction."""
 import pytest
 
 from thomae.curve import BranchPoint, CurveSpec
-from thomae.divisors import CardinalityMatrix, DivisorKind, LeveledDivisor
+from thomae.denominators import ExponentMatrix, full_denominator
+from thomae.divisors import CardinalityMatrix, DivisorKind, LeveledDivisor, enumerate_divisors
 from thomae.ffunctions import FFunctionTable, f_chain
 from thomae.operators import GroupElement
 from thomae.orbits import CountReport, Edge, FamilyCount, FamilySpec, OrbitGraph
@@ -69,3 +70,56 @@ def test_asdict_gives_the_fields_in_declaration_order(cls):
     """The CLI writes these two records through ``_asdict``, so this is its JSON key order."""
     fields, args, _ = RECORDS[cls]
     assert list(cls(*args)._asdict().items()) == list(zip(fields, args))
+
+
+# the records whose fields are bound by the base alone, with no __init__ of their own
+UNCHECKED = [CurveSpec, Edge, OrbitGraph, CountReport, Finding, _Run]
+
+
+@pytest.mark.parametrize("cls", UNCHECKED, ids=lambda cls: cls.__name__)
+def test_fields_bind_by_position_then_by_name_each_exactly_once(cls):
+    fields, args, _ = RECORDS[cls]
+    one, named = cls(*args), dict(zip(fields, args))
+    assert cls(**named) == one == cls(**dict(reversed(named.items())))
+    assert cls(args[0], **dict(zip(fields[1:], args[1:]))) == one
+    message = rf"^{cls.__name__} takes each of the fields \({', '.join(map(repr, fields))}\) once$"
+    for wrong in (
+        lambda: cls(*args[:-1]),  # the last field missing
+        lambda: cls(**dict(zip(fields[1:], args[1:]))),  # the first field missing
+        lambda: cls(*args, args[-1]),  # one value too many
+        lambda: cls(*args, colour=1),  # an unknown field
+        lambda: cls(*args[:-1], **{fields[0]: args[0], fields[-1]: args[-1]}),  # given twice
+    ):
+        with pytest.raises(TypeError, match=message):
+            wrong()
+
+
+def _h():
+    return full_denominator(next(enumerate_divisors(CURVE, DivisorKind.XI)))
+
+
+def test_exponent_matrices_compare_and_hash_as_values():
+    """The denominators that ``verify`` and the acceptance tests compare: equal
+    entrywise on one curve, hashed alike, and never equal to a matrix of another
+    class with the same fields."""
+    h = _h()
+    same = ExponentMatrix(CURVE, {(j, i): v for (i, j), v in h.items()})
+    other = ExponentMatrix(CURVE, {**dict(h.items()), (0, 1): h.unit_exponent(0, 1) + 1})
+    assert h and same is not h and same == h and not same != h and hash(same) == hash(h)
+    assert other != h and not other == h
+    assert h != ExponentMatrix(CurveSpec.from_alphas(4, [1, 3, 1, 3]), dict(h.items()))
+    twin = type("ExponentMatrix", (ExponentMatrix,), {})(CURVE, dict(h.items()))
+    assert (twin.curve, twin._values) == (h.curve, h._values)
+    assert h != twin and twin != h
+
+
+def test_exponent_matrices_never_change_so_a_set_still_finds_them():
+    h = _h()
+    found, before = {h}, (h.curve, h._values)
+    for name in ("curve", "_values", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, (0,) * 6)
+    for name in ("curve", "_values"):
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    assert (h.curve, h._values) == before and h in found and _h() in found
