@@ -170,15 +170,40 @@ def _cmd_denominator(args, curve, divisor):
     pairs = matrix_to_dict(matrix)
     fields = {"which": args.which, "denominator": pairs, "degree": degree(matrix)}
     if args.evaluate == "exact":
+        if _past_digit_limit(matrix):
+            raise DivisorError(_TOO_LONG)
         value = evaluate(matrix, EvalMode.EXACT_RATIONAL)
         try:
             fields["value"] = str(value)
         except ValueError:  # an integer past the interpreter's limit on written digits
-            raise DivisorError("the exact value has too many digits; try --evaluate log") from None
+            raise DivisorError(_TOO_LONG) from None
     elif args.evaluate == "log":
         logmag, sign = evaluate(matrix, EvalMode.LOG_ABS)
         fields["value"] = {"log_abs": logmag, "sign": sign}
     return fields, [[p["i"], p["j"], p["exp_unit"]] for p in pairs["pairs"]]
+
+
+_TOO_LONG = "the exact value has too many digits; try --evaluate log"
+
+
+def _past_digit_limit(matrix) -> bool:
+    """Whether the exact value's numerator or denominator is sure to have more
+    digits than ``str`` writes, decided before any power is taken.  Every
+    exponent e that the commands build is at least 0, and a factor
+    (z_i - z_j) ** e with |z_i - z_j| = a/b adds between e * (floor(log2 a) -
+    ceil(log2 b)) and e * (ceil(log2 a) - floor(log2 b)) to log2 |value|."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    lams = matrix.curve.lambdas
+    if not limit or lams is None:  # no limit, or evaluate refuses the curve
+        return False
+    low = high = 0
+    for (i, j), unit in matrix.items():
+        diff, e = abs(lams[i] - lams[j]), matrix.unit_factor * unit
+        a, b = diff.numerator, diff.denominator
+        low += e * (a.bit_length() - 1 - (b - 1).bit_length())
+        high += e * ((a - 1).bit_length() - b.bit_length() + 1)
+    bits = (10 ** limit).bit_length()  # 2 ** bits > 10 ** limit: over limit digits
+    return low >= bits or -high >= bits
 
 
 def _cmd_orbits(args, curve):

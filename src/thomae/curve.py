@@ -91,10 +91,17 @@ class BranchPoint(_Value):
 
 
 class CurveSpec(_Value):
-    """A curve as n and its branch points.  Equality and hashing see only
-    these two fields; the derived arithmetic is computed once, on first use."""
+    """A curve as n and its branch points, refused with CurveError unless it
+    is a fully ramified cover.  Equality and hashing see only these two
+    fields; the derived arithmetic is computed once, on first use."""
 
     _fields = ("n", "points")
+
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        problems = self._problems()
+        if problems:
+            raise CurveError("; ".join(problems))
 
     @classmethod
     def from_alphas(
@@ -155,14 +162,14 @@ class CurveSpec(_Value):
         return tuple(tuple((a * k) % n for a in self.alphas) for k in range(1, n))
 
     @cached_property
-    def packed(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Optional[int], ...]]:
+    def packed(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The k-conditions packed into integers, condition k as digit k-1 in base p+1.
 
         packed[0][i][l] has digit k-1 equal to 1 when level l lies below
         alpha_i * k mod n; no digit of a sum over the p points reaches the
         base, so sums never carry.  packed[1][shift] packs the targets
-        t_k - shift, or is None when one of them lies outside 0..p, so no
-        level tuple meets them.
+        t_k - shift, which lie in 0..p-1: every alpha_i * k mod n lies in
+        1..n-1 and their sum is a multiple of n, so 1 <= t_k <= p-1.
         """
         p, n = self.point_count, self.n
         powers = [(p + 1) ** k for k in range(n - 1)]
@@ -171,21 +178,20 @@ class CurveSpec(_Value):
             tuple(sum(w for w, thr in rows if l < thr[i]) for l in range(n)) for i in range(p)
         )
         targets = tuple(
-            sum(w * (t - shift) for w, t in zip(powers, self.t_values[1:]))
-            if all(0 <= t - shift <= p for t in self.t_values[1:]) else None
-            for shift in (0, 1)
+            sum(w * (t - shift) for w, t in zip(powers, self.t_values[1:])) for shift in (0, 1)
         )
         return contrib, targets
 
-    def validate(self) -> list[str]:
+    def _problems(self) -> list[str]:
         """All invariant violations, empty when the curve is usable."""
-        problems = []
-        n = self.n
+        n, points = self.n, self.points
+        if not (isinstance(points, tuple) and all(isinstance(p, BranchPoint) for p in points)):
+            return [f"points must be a tuple of BranchPoints, got {points!r}"]
         if not is_int(n):
             return [f"n must be an integer, got {n!r}"]
         if n < 2:
-            problems.append(f"n must be at least 2, got {n}")
-            return problems
+            return [f"n must be at least 2, got {n}"]
+        problems = []
         for i, a in enumerate(self.alphas):
             if not is_int(a):
                 problems.append(f"point {i}: alpha must be an integer, got {a!r}")
@@ -199,18 +205,12 @@ class CurveSpec(_Value):
                 problems.append(f"exponent sum {total} is not 0 mod {n}")
         if self.point_count < 3:
             problems.append(f"need at least 3 branch points, got {self.point_count}")
-        lams = [p.lam for p in self.points if p.lam is not None]
+        lams = [p.lam for p in points if p.lam is not None]
         if lams and len(lams) != self.point_count:
             problems.append("z-values must be given for all points or none")
         if len(set(lams)) != len(lams):
             problems.append("z-values must be pairwise distinct")
         return problems
-
-    def require_valid(self) -> "CurveSpec":
-        problems = self.validate()
-        if problems:
-            raise CurveError("; ".join(problems))
-        return self
 
     def with_lambdas(self, lambdas: Sequence[Fraction]) -> "CurveSpec":
         """The curve with one exact z-value per point (see ``_parse_exact``)."""
@@ -273,7 +273,7 @@ def curve_from_dict(data: dict) -> CurveSpec:
         if label is not None and not isinstance(label, str):
             raise CurveError(f"point {i}: label must be a string")
         pts.append(BranchPoint(rp["alpha"], label, lam))
-    return CurveSpec(n, tuple(pts)).require_valid()
+    return CurveSpec(n, tuple(pts))
 
 
 def read_document(path: str) -> tuple[object, str]:

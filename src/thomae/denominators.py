@@ -119,14 +119,20 @@ class ExponentMatrix(_Value):
         return f"ExponentMatrix({dict(self.items())})"
 
 
+def _require_matrix(matrix) -> ExponentMatrix:
+    if not isinstance(matrix, ExponentMatrix):
+        raise DivisorError(f"matrix must be an ExponentMatrix, got {matrix!r}")
+    return matrix
+
+
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Entrywise difference; negative exponents are fine (formal quotients)."""
-    return a._combine(b, sub)
+    return _require_matrix(a)._combine(_require_matrix(b), sub)
 
 
 def degree(matrix: ExponentMatrix) -> int:
     """Sum of the full (realized) exponents."""
-    return matrix.unit_factor * sum(matrix._values)
+    return _require_matrix(matrix).unit_factor * sum(matrix._values)
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +297,7 @@ def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:
     subtracted from the whole block.  Reporting helper only; invariance
     checks always use raw matrices.
     """
-    curve, alphas, values = matrix.curve, matrix.curve.alphas, matrix._values
+    curve, alphas, values = _require_matrix(matrix).curve, matrix.curve.alphas, matrix._values
     shapes = [tuple(sorted((alphas[i], alphas[j]))) for i, j in _pairs(curve.point_count)]
     least: dict[tuple[int, int], int] = {}
     for shape, v in zip(shapes, values):
@@ -306,7 +312,7 @@ def evaluate(matrix: ExponentMatrix, mode: EvalMode = EvalMode.EXACT_RATIONAL):
     Fraction.  LOG_ABS returns (sum of full exponents times log |z_i - z_j|,
     +1): every full exponent is even, so the sign is always positive.
     """
-    lams = matrix.curve.lambdas
+    lams = _require_matrix(matrix).curve.lambdas
     if lams is None:
         raise DivisorError("the curve carries no z-values to evaluate at")
     factor = matrix.unit_factor
@@ -329,7 +335,7 @@ def evaluate(matrix: ExponentMatrix, mode: EvalMode = EvalMode.EXACT_RATIONAL):
 
 def matrix_to_dict(matrix: ExponentMatrix) -> dict:
     """The JSON document form of a denominator."""
-    n = matrix.curve.n
+    n = _require_matrix(matrix).curve.n
     return {
         "unit": "e*n",
         "e": e_factor(n),

@@ -61,6 +61,12 @@ def _require_curve(curve) -> CurveSpec:
     return curve
 
 
+def _require_divisor(divisor) -> "LeveledDivisor":
+    if not isinstance(divisor, LeveledDivisor):
+        raise DivisorError(f"divisor must be a LeveledDivisor, got {divisor!r}")
+    return divisor
+
+
 def _require_ints(what: str, values) -> tuple:
     """``values`` as a tuple, once each of them is known to be an integer."""
     try:
@@ -136,7 +142,7 @@ def _meets(spec: CurveSpec, levels: tuple[int, ...], shift: int) -> bool:
 
 def satisfies_conditions(divisor: LeveledDivisor) -> bool:
     """Every k-condition of the divisor's kind: lhs_k = t_k - kind.shift."""
-    return _meets(divisor.curve, divisor.levels, divisor.kind.shift)
+    return _meets(_require_divisor(divisor).curve, divisor.levels, divisor.kind.shift)
 
 
 def specialty_index(divisor: LeveledDivisor) -> int:
@@ -146,7 +152,7 @@ def specialty_index(divisor: LeveledDivisor) -> int:
     the dimension of the space of holomorphic differentials that are
     multiples of the divisor.
     """
-    spec, levels = divisor.curve, divisor.levels
+    spec, levels = _require_divisor(divisor).curve, divisor.levels
     return sum(
         max(t - 1 - sum(map(lt, levels, thr)), 0)
         for t, thr in zip(spec.t_values[1:], spec.thresholds)
@@ -271,8 +277,6 @@ def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ..
         for i in range(spec.point_count)
     ]
     targets = [(kind, tuple(t - kind.shift for t in spec.t_values[1:])) for kind in DivisorKind]
-    if not below:  # the empty tuple meets the targets that are all 0
-        return {kind: [()] * (not any(target)) for kind, target in targets}
     found: dict[DivisorKind, list] = {kind: [] for kind in DivisorKind}
     completes: dict[tuple[int, ...], list] = {}  # prefix counts -> (kind's list, last level)
     for l, step in enumerate(below[-1]):
@@ -325,11 +329,9 @@ def _count_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> int
     half the points fold forward from 0, the rest but one back from the target."""
     contrib, targets = spec.packed
     target = targets[kind.shift]
-    if target is None:
-        return 0
     # a class's points sit together, so tables hold multisets
     order = sorted(range(spec.point_count), key=spec.alphas.__getitem__)
-    *rest, last = [[contrib[i][l] for l in allowed[i]] for i in order] or [[0]]
+    *rest, last = [[contrib[i][l] for l in allowed[i]] for i in order]
     half = (len(rest) + 1) // 2
     front = reduce(_fold, rest[:half], Counter({0: 1}))
     back = reduce(_fold, ([-w for w in ws] for ws in rest[half:]), Counter({target: 1}))
@@ -347,8 +349,6 @@ def _list_assignments(spec: CurveSpec, kind: DivisorKind, allowed: list) -> Iter
     """
     contrib, targets = spec.packed
     target = targets[kind.shift]
-    if target is None:
-        return
     split = spec.point_count // 2
     head, tail = contrib[:split], contrib[split:]
     back: dict[int, list] = {}

@@ -8,7 +8,7 @@ at level 0 and level n-1 is ordinary arithmetic mod n.
 Each operator is a kernel from level tuple to level tuple over per-point
 level maps tabulated once per (n, alphas); ``verify`` and ``orbits`` call
 the kernels directly.  The public functions check their input, call a kernel
-and wrap its image unvalidated, as every kernel reduces its levels mod n.
+and wrap its image unchecked, as every kernel reduces its levels mod n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from itertools import compress
 from operator import eq, getitem
 
 from .curve import _Value, is_int, k_inverse
-from .divisors import DivisorError, DivisorKind, LeveledDivisor, _require_int, _require_points
+from .divisors import (DivisorError, DivisorKind, LeveledDivisor, _require_divisor, _require_int,
+                       _require_points)
 
 
 class AdmissibilityError(DivisorError):
@@ -111,7 +112,7 @@ def _image(xi: LeveledDivisor, levels: tuple) -> LeveledDivisor:
 
 
 def _require_xi(xi: LeveledDivisor) -> None:
-    if xi.kind is not DivisorKind.XI:
+    if _require_divisor(xi).kind is not DivisorKind.XI:
         raise DivisorError("need a divisor of kind XI")
 
 
@@ -164,7 +165,7 @@ def apply_T(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
 
 
 def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
-    _require_points(xi.curve, q_id, r_id)
+    _require_points(_require_divisor(xi).curve, q_id, r_id)
     if q_id == r_id or xi.kind is not DivisorKind.XI:
         return False
     return xi.levels[r_id] == _tables_of(xi).expected[q_id][xi.levels[q_id]][r_id]
@@ -172,7 +173,7 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
 
 def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
     """Every R with t_hat_admissible(xi, q_id, R), ascending."""
-    _require_points(xi.curve, q_id)
+    _require_points(_require_divisor(xi).curve, q_id)
     if xi.kind is not DivisorKind.XI:
         return ()
     return _partners(_tables_of(xi), xi.levels, q_id)

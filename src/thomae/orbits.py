@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .curve import CurveSpec, _Value, is_int, k_inverse
+from .curve import CurveError, CurveSpec, _Value, is_int, k_inverse
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -34,6 +34,7 @@ from .divisors import (
     _meets,
     _require_cap,
     _require_curve,
+    _require_divisor,
     _require_int,
     _require_vertices,
     count_base_point_free,
@@ -149,7 +150,7 @@ class OrbitGraph(_Value):
         """A word in the edge labels leading from source to target, if any.  Each
         end must be a vertex, an XI divisor of this graph's curve that meets the
         conditions; that is tested directly, so the vertices are never listed."""
-        for div in (source, target):
+        for div in map(_require_divisor, (source, target)):
             if not (div.curve == self.curve and div.kind is DivisorKind.XI
                     and _meets(self.curve, div.levels, 0)):
                 raise DivisorError(f"divisor {div.levels} is not a vertex")
@@ -172,7 +173,7 @@ def build_graph(spec: CurveSpec, max_vertices: Optional[int] = None) -> OrbitGra
     Every edge label names its generator; inverse edges are present for all
     generators, so the graph is symmetric-closed.
     """
-    _require_curve(spec).require_valid()
+    _require_curve(spec)
     if max_vertices is not None:
         _require_cap("max_vertices", max_vertices)
         _require_vertices(spec, max_vertices)
@@ -193,7 +194,7 @@ def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
     absent from the curve, or some level j of class beta is occupied together
     with level n-1-j of the mirror class."""
     _require_int("beta", beta)
-    if xi.kind is not DivisorKind.XI:
+    if _require_divisor(xi).kind is not DivisorKind.XI:
         raise DivisorError("the occupation hypotheses concern divisors of kind XI")
     curve = xi.curve
     n = curve.n
@@ -219,8 +220,8 @@ def difbeta_reachability(
     returning False, so an unreachable-but-eligible pair is a reportable finding.
     """
     _require_int("beta", beta)
-    curve = xi.curve
-    if upsilon.curve != curve:
+    curve = _require_divisor(xi).curve
+    if _require_divisor(upsilon).curve != curve:
         raise DivisorError("divisors live on different curves")
     if xi.kind is not DivisorKind.XI or upsilon.kind is not DivisorKind.XI:
         raise ReachabilityPreconditionError("both divisors must be of kind XI")
@@ -277,8 +278,10 @@ class FamilySpec(_Value):
         _require_int("n", n)
         if n < 2:
             return None
-        spec = CurveSpec.from_alphas(n, list(self.c) + [(n - dv) % n for dv in self.d])
-        return spec if not spec.validate() else None
+        try:
+            return CurveSpec.from_alphas(n, list(self.c) + [(n - dv) % n for dv in self.d])
+        except CurveError:
+            return None
 
 
 class FamilyCount(_Value):
@@ -318,6 +321,8 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
     below the shifted ones, so the move maps those divisors one to one onto
     the degree-g divisors with point i at level n-1, which avoid point i.
     """
+    if not isinstance(family, FamilySpec):
+        raise DivisorError(f"family must be a FamilySpec, got {family!r}")
     rows = []
     for n in n_values:
         spec = family.curve(n)

@@ -108,7 +108,7 @@ def _nonspecial_equivalence(run: _Run) -> Iterator[str]:
     # degree g means exponents n-1-l summing to g: the first p-1 levels run in
     # product order, and the last is what they lack of the level sum
     level_sum = p * (n - 1) - spec.genus()
-    for head in itertools.product(range(n), repeat=p - 1) if p else ():
+    for head in itertools.product(range(n), repeat=p - 1):
         last = level_sum - sum(head)
         if not 0 <= last < n:
             continue
@@ -241,7 +241,7 @@ def run_suite(
     seed: int = 0,
 ) -> tuple[list[str], list[Finding]]:
     """Run the named checks (all by default); returns (checks run, findings)."""
-    _require_curve(spec).require_valid()
+    _require_curve(spec)
     _require_cap("max_vertices", max_vertices)
     names = list(_CHECKS) if checks is None else list(checks)
     unknown = [name for name in names if name not in _CHECKS]

@@ -5,13 +5,15 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thomae import DivisorKind, __version__, curve_from_dict, divisors, enumerate_divisors
+from thomae import (DivisorKind, __version__, curve_from_dict, denominators, divisors,
+                    enumerate_divisors)
 from thomae.cli import main
 
 
@@ -388,6 +390,54 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _digit_limit() -> int:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter writes integers of any length")
+    return limit
+
+
+TOO_LONG = "error: the exact value has too many digits; try --evaluate log\n"
+
+
+def _no_power(*args):
+    raise AssertionError("took the exact product")
+
+
+def test_exact_value_past_the_digit_limit_is_refused_before_any_power(capsys, tmp_path,
+                                                                     monkeypatch):
+    """|log10 h| is about 2.6 million here: the bit lengths of the differences
+    refuse it without raising any of them to a power."""
+    _digit_limit()
+    lams = ["0", "1", "1e400", "2", "3"]
+    curve = write(tmp_path / "c.json", {"n": 29, "points": [
+        {"alpha": a, "lambda": lam} for a, lam in zip([1, 1, 1, 1, 25], lams)]})
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 7, 14, 21, 28]})
+    monkeypatch.setattr(denominators, "evaluate", _no_power)
+    assert run(capsys, "denominator", "--curve", curve, "--divisor", divisor, "--which", "h",
+               "--evaluate", "exact") == (1, "", TOO_LONG)
+
+
+def test_exact_value_at_the_digit_limit_prints_and_past_it_is_refused(capsys, tmp_path,
+                                                                     monkeypatch):
+    """h of this divisor is (z_0 - z_1)^2 (z_2 - z_3)^2 = z_1^2 with z_1 a power
+    of two: the largest such value with the limit's number of digits is written
+    in full, and the next one is refused before the power is taken."""
+    top = (10 ** _digit_limit()).bit_length() - 1  # 2 ** top has exactly limit digits
+    divisor = write(tmp_path / "d.json", {"kind": "xi", "levels": [0, 0, 1, 1]})
+    argv = ["denominator", "--divisor", divisor, "--evaluate", "exact", "--curve"]
+    for half, fits in ((top // 2, True), (top // 2 + 1, False)):
+        lams = ["0", str(2 ** half), "1", "2"]
+        curve = write(tmp_path / "c.json", {"n": 2, "points": [
+            {"alpha": 1, "lambda": lam} for lam in lams]})
+        if fits:
+            code, out, err = run(capsys, *argv, curve)
+            assert (code, err) == (0, "") and json.loads(out)["value"] == str(4 ** half)
+        else:
+            monkeypatch.setattr(denominators, "evaluate", _no_power)
+            assert run(capsys, *argv, curve) == (1, "", TOO_LONG)
 
 
 def test_avoid_listing_agrees_with_count_only(capsys, tmp_path):

@@ -13,27 +13,56 @@ from thomae import (
 
 
 def test_validate_smallest_nonsingular():
-    assert CurveSpec.from_alphas(3, [1, 1, 1]).validate() == []
+    assert CurveSpec.from_alphas(3, [1, 1, 1]).alphas == (1, 1, 1)
 
 
 def test_validate_bad_sum():
-    problems = CurveSpec.from_alphas(5, [1, 2, 3]).validate()
-    assert any("sum" in p for p in problems)
+    with pytest.raises(CurveError, match="^exponent sum 6 is not 0 mod 5$"):
+        CurveSpec.from_alphas(5, [1, 2, 3])
 
 
 def test_validate_non_coprime_alpha():
-    problems = CurveSpec.from_alphas(4, [1, 2, 1]).validate()
-    assert any("coprime" in p for p in problems)
+    with pytest.raises(CurveError, match="^point 1: alpha 2 not coprime to 4$"):
+        CurveSpec.from_alphas(4, [1, 2, 1])
 
 
 def test_validate_too_few_points():
-    problems = CurveSpec.from_alphas(3, [1, 2]).validate()
-    assert any("3 branch points" in p for p in problems)
+    with pytest.raises(CurveError, match="^need at least 3 branch points, got 2$"):
+        CurveSpec.from_alphas(3, [1, 2])
 
 
 def test_validate_duplicate_lambdas():
-    spec = CurveSpec.from_alphas(3, [1, 1, 1], lambdas=[Fraction(0), Fraction(1), Fraction(0)])
-    assert any("distinct" in p for p in spec.validate())
+    with pytest.raises(CurveError, match="^z-values must be pairwise distinct$"):
+        CurveSpec.from_alphas(3, [1, 1, 1], lambdas=[Fraction(0), Fraction(1), Fraction(0)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CurveSpec.from_alphas(5, [0, 5, 5]),
+         "point 0: alpha 0 outside 1..4; point 1: alpha 5 outside 1..4; "
+         "point 2: alpha 5 outside 1..4"),
+        (lambda: CurveSpec.from_alphas(6, [2, 2, 2]),
+         "point 0: alpha 2 not coprime to 6; point 1: alpha 2 not coprime to 6; "
+         "point 2: alpha 2 not coprime to 6"),
+        (lambda: CurveSpec(5, 5), "points must be a tuple of BranchPoints, got 5"),
+        (lambda: CurveSpec(n=5, points=(1, 2, 2)),
+         r"points must be a tuple of BranchPoints, got \(1, 2, 2\)"),
+    ],
+    ids=["alphas-outside-range", "alphas-not-units", "points-an-int", "points-not-branch-points"],
+)
+def test_a_curve_that_is_not_fully_ramified_cannot_be_built(build, message):
+    """The constructor refuses what only a valid curve may be, so no counter,
+    lister or divisor ever meets such a curve."""
+    with pytest.raises(CurveError, match=f"^{message}$"):
+        build()
+
+
+def test_keyword_construction_checks_the_curve():
+    points = CurveSpec.from_alphas(5, [1, 2, 2]).points
+    assert CurveSpec(n=5, points=points) == CurveSpec(5, points)
+    with pytest.raises(CurveError, match="^exponent sum 5 is not 0 mod 7$"):
+        CurveSpec(n=7, points=points)
 
 
 def test_genus_examples():
@@ -72,7 +101,7 @@ def test_fractional_parts_cover_everything():
 
             if gcd(alpha, n) != 1:
                 continue
-            thresholds = CurveSpec.from_alphas(n, [alpha]).thresholds
+            thresholds = CurveSpec.from_alphas(n, [alpha, n - alpha, 1, n - 1]).thresholds
             assert sorted(thr[0] for thr in thresholds) == list(range(1, n))
 
 

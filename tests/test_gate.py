@@ -1,7 +1,9 @@
 """Every public function that takes a point index or an exponent class refuses
 anything but an integer with DivisorError or CurveError, and gives a result or
 one of those refusals for any integer; one that takes a curve refuses anything
-but a CurveSpec, and exponent lists refuse what is not a sequence of integers."""
+but a CurveSpec, one that takes a divisor, a denominator matrix or a family
+anything but a LeveledDivisor, an ExponentMatrix or a FamilySpec, and exponent
+lists refuse what is not a sequence of integers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,11 @@ from thomae import (
     DivisorKind,
     ExponentMatrix,
     FamilySpec,
+    GroupElement,
     LeveledDivisor,
+    apply_group,
+    apply_M,
+    apply_N,
     apply_N_beta,
     apply_T,
     apply_T_hat,
@@ -22,13 +28,21 @@ from thomae import (
     count_base_point_free,
     count_divisors,
     count_family,
+    degree,
     difbeta_hypothesis,
     difbeta_reachability,
     divisor_from_exponents,
     enumerate_divisors,
+    evaluate,
     fit_count_polynomial,
+    full_denominator,
+    matrix_quotient,
+    matrix_to_dict,
     pmt_denominator,
     pmt_gamma_denominator,
+    reduce_matrix,
+    satisfies_conditions,
+    specialty_index,
     t_admissible,
     t_hat_admissible,
     t_hat_partners,
@@ -113,7 +127,7 @@ def test_non_integer_n_and_alpha_are_refused(n, alphas):
     """A float, bool or str n or alpha is a CurveError problem line, never a bare
     TypeError from gcd or a comparison."""
     with pytest.raises(CurveError, match="must be an integer"):
-        CurveSpec.from_alphas(n, alphas).require_valid()
+        CurveSpec.from_alphas(n, alphas)
 
 
 NOT_SEQUENCES = {
@@ -159,6 +173,56 @@ def test_a_curve_that_is_not_a_curve_spec_is_refused(name, curve):
     call(CURVE)
     with pytest.raises(DivisorError, match="curve must be a CurveSpec, got "):
         call(curve)
+
+
+H = full_denominator(XI)
+GRAPH = build_graph(CURVE)
+VERTEX = next(enumerate_divisors(CURVE, DivisorKind.XI))
+
+# name -> (the record the argument must be, a call that takes it as its one argument)
+RECORD_CALLS = {
+    "apply_M": ("LeveledDivisor", apply_M),
+    "apply_N": ("LeveledDivisor", apply_N),
+    "apply_N_beta": ("LeveledDivisor", lambda xi: apply_N_beta(xi, 2)),
+    "apply_T": ("LeveledDivisor", lambda xi: apply_T(xi, 0, 1)),
+    "apply_T_hat": ("LeveledDivisor", lambda xi: apply_T_hat(xi, 0, 1)),
+    "apply_group": ("LeveledDivisor", lambda xi: apply_group(xi, GroupElement(5, 1, False))),
+    "base_point_representative": ("LeveledDivisor", lambda xi: base_point_representative(xi, 0)),
+    "t_admissible": ("LeveledDivisor", lambda xi: t_admissible(xi, 0, 1)),
+    "t_hat_admissible": ("LeveledDivisor", lambda xi: t_hat_admissible(xi, 0, 1)),
+    "t_hat_partners": ("LeveledDivisor", lambda xi: t_hat_partners(xi, 0)),
+    "full_denominator": ("LeveledDivisor", full_denominator),
+    "pmt_denominator": ("LeveledDivisor", lambda xi: pmt_denominator(xi, 1)),
+    "pmt_gamma_denominator": ("LeveledDivisor", lambda xi: pmt_gamma_denominator(xi, 0, 1)),
+    "theta_relation_shift": ("LeveledDivisor", lambda xi: theta_relation_shift(xi, 0, 1)),
+    "satisfies_conditions": ("LeveledDivisor", satisfies_conditions),
+    "specialty_index": ("LeveledDivisor", specialty_index),
+    "difbeta_hypothesis": ("LeveledDivisor", lambda xi: difbeta_hypothesis(xi, 1)),
+    "difbeta_reachability-from": ("LeveledDivisor", lambda xi: difbeta_reachability(xi, XI, 1)),
+    "difbeta_reachability-to": ("LeveledDivisor", lambda xi: difbeta_reachability(XI, xi, 1)),
+    "witness-from": ("LeveledDivisor", lambda xi: GRAPH.witness(xi, VERTEX)),
+    "witness-to": ("LeveledDivisor", lambda xi: GRAPH.witness(VERTEX, xi)),
+    "evaluate": ("ExponentMatrix", evaluate),
+    "matrix_to_dict": ("ExponentMatrix", matrix_to_dict),
+    "reduce_matrix": ("ExponentMatrix", reduce_matrix),
+    "degree": ("ExponentMatrix", degree),
+    "matrix_quotient-first": ("ExponentMatrix", lambda m: matrix_quotient(m, H)),
+    "matrix_quotient-second": ("ExponentMatrix", lambda m: matrix_quotient(H, m)),
+    "count_family": ("FamilySpec", lambda family: count_family(family, [5])),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_CALLS)
+@pytest.mark.parametrize(
+    "value", [5, (0, 0, 2, 1), {"kind": "xi", "levels": [0, 0, 2, 1]}],
+    ids=["int", "levels", "document"],
+)
+def test_a_divisor_matrix_or_family_of_another_type_is_refused(name, value):
+    """A DivisorError naming the record, never a bare AttributeError from
+    reading its curve, kind, levels or exponent lists."""
+    record, call = RECORD_CALLS[name]
+    with pytest.raises(DivisorError, match=f"must be an? {record}, got "):
+        call(value)
 
 
 @pytest.mark.parametrize(

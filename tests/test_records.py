@@ -21,7 +21,7 @@ ROWS = ((1, (2, 0, 0, 0)), (3, (2, 0, 0, 0)))
 # other field values, the last field among them where the constructor allows)
 RECORDS = {
     BranchPoint: (("alpha", "label", "lam"), (1, "P", None), (1, "P", 3)),
-    CurveSpec: (("n", "points"), (4, CURVE.points), (4, CURVE.points[:3])),
+    CurveSpec: (("n", "points"), (4, CURVE.points), (4, CURVE.points[::-1])),
     LeveledDivisor: (("curve", "levels", "kind"), (CURVE, (0, 1, 2, 3), DivisorKind.XI),
                      (CURVE, (0, 1, 2, 3), DivisorKind.DELTA)),
     CardinalityMatrix: (("curve", "counts", "kind"), (CURVE, ROWS, DivisorKind.XI),
