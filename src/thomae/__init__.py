@@ -32,7 +32,7 @@ _EXPORTS = {
             f_recursive f_sign_flip""",
         "operators": """AdmissibilityError GroupElement a_value apply_group apply_M apply_N
             apply_N_beta apply_T apply_T_hat b_value base_point_representative t_admissible
-            t_hat_admissible t_hat_partners""",
+            t_hat_admissible""",
         "orbits": """CountReport FamilyCount FamilySpec OrbitGraph ReachabilityPreconditionError
             build_graph count_family difbeta_hypothesis difbeta_reachability
             fit_count_polynomial""",

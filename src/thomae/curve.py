@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from functools import cached_property
 from math import gcd
@@ -34,8 +35,8 @@ def k_inverse(beta: int, n: int) -> int:
 
 def e_factor(n: int) -> int:
     """1 for even n, 2 for odd n; e*n is always even."""
-    if n < 2:
-        raise CurveError(f"need n >= 2, got {n}")
+    if not is_int(n) or n < 2:
+        raise CurveError(f"need an integer n >= 2, got {n!r}")
     return 1 if n % 2 == 0 else 2
 
 
@@ -206,10 +207,16 @@ class CurveSpec(_Value):
         if self.point_count < 3:
             problems.append(f"need at least 3 branch points, got {self.point_count}")
         lams = [p.lam for p in points if p.lam is not None]
-        if lams and len(lams) != self.point_count:
-            problems.append("z-values must be given for all points or none")
-        if len(set(lams)) != len(lams):
-            problems.append("z-values must be pairwise distinct")
+        if lams:
+            from fractions import Fraction  # loaded by a curve with z-values only
+
+            if len(lams) != self.point_count:
+                problems.append("z-values must be given for all points or none")
+            inexact = [v for v in lams if not (is_int(v) or isinstance(v, Fraction))]
+            if inexact:
+                problems.append(f"z-values must be integers or Fractions, got {inexact[0]!r}")
+            elif len(set(lams)) != len(lams):
+                problems.append("z-values must be pairwise distinct")
         return problems
 
     def with_lambdas(self, lambdas: Sequence[Fraction]) -> "CurveSpec":
@@ -279,7 +286,11 @@ def curve_from_dict(data: dict) -> CurveSpec:
 def read_document(path: str) -> tuple[object, str]:
     """The JSON document in the file at ``path`` and the first 16 hex digits of the
     SHA-256 of the same bytes, read once, so a pipe works; bytes that are not UTF-8,
-    or JSON that ``json.loads`` refuses or recurses too deep on, are refused with the path."""
+    or JSON that ``json.loads`` refuses or recurses too deep on, are refused with the path.
+    A ``path`` that is not a str or an ``os.PathLike`` is refused before anything is
+    opened: ``open`` would take an int for a file descriptor and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise CurveError(f"path must be a str or an os.PathLike, got {path!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:

@@ -91,10 +91,6 @@ class ExponentMatrix(_Value):
             values[_pair_rows(p)[i][j]] = v
         super().__init__(curve, tuple(values))
 
-    def unit_exponent(self, i: int, j: int) -> int:
-        _require_points(self.curve, i, j)
-        return 0 if i == j else self._values[_pair_rows(self.curve.point_count)[i][j]]
-
     @property
     def unit_factor(self) -> int:
         return e_factor(self.curve.n) * self.curve.n
@@ -108,7 +104,7 @@ class ExponentMatrix(_Value):
 
     def _combine(self, other: "ExponentMatrix", op) -> "ExponentMatrix":
         """op(self, other), entrywise."""
-        if self.curve != other.curve:
+        if self.curve != _require_matrix(other).curve:
             raise DivisorError("matrices live on different curves")
         return _matrix(self.curve, tuple(map(op, self._values, other._values)))
 
@@ -127,7 +123,7 @@ def _require_matrix(matrix) -> ExponentMatrix:
 
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:
     """Entrywise difference; negative exponents are fine (formal quotients)."""
-    return _require_matrix(a)._combine(_require_matrix(b), sub)
+    return _require_matrix(a)._combine(b, sub)
 
 
 def degree(matrix: ExponentMatrix) -> int:

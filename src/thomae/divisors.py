@@ -67,6 +67,11 @@ def _require_divisor(divisor) -> "LeveledDivisor":
     return divisor
 
 
+def _require_kind(kind) -> None:
+    if not isinstance(kind, DivisorKind):
+        raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
+
+
 def _require_ints(what: str, values) -> tuple:
     """``values`` as a tuple, once each of them is known to be an integer."""
     try:
@@ -105,8 +110,7 @@ class LeveledDivisor(_Value):
     _fields = ("curve", "levels", "kind")
 
     def __init__(self, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
-        if not isinstance(kind, DivisorKind):
-            raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
+        _require_kind(kind)
         n, levels = _require_curve(curve).n, _require_ints("levels", levels)
         if len(levels) != curve.point_count:
             raise DivisorError("one level per branch point required")
@@ -125,13 +129,6 @@ class LeveledDivisor(_Value):
     def exponents(self) -> tuple[int, ...]:
         n = self.curve.n
         return tuple(n - 1 - l for l in self.levels)
-
-    def sets(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Nonempty (alpha, level) -> point indices partition of the divisor."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, (a, l) in enumerate(zip(self.curve.alphas, self.levels)):
-            out.setdefault((a, l), []).append(i)
-        return {k: tuple(v) for k, v in out.items()}
 
 
 def _meets(spec: CurveSpec, levels: tuple[int, ...], shift: int) -> bool:
@@ -184,8 +181,7 @@ class CardinalityMatrix(_Value):
     _fields = ("curve", "counts", "kind")
 
     def __init__(self, curve: CurveSpec, counts, kind: DivisorKind):
-        if not isinstance(kind, DivisorKind):
-            raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
+        _require_kind(kind)
         try:  # every pair and every row is taken apart here, and nowhere unguarded
             counts = tuple((alpha, tuple(row)) for alpha, row in counts)
         except (TypeError, ValueError):
@@ -298,6 +294,7 @@ def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ..
 def brute_force_divisors(spec: CurveSpec, kind: DivisorKind) -> list[LeveledDivisor]:
     """The divisors of ``kind`` among all n^points level assignments, in product
     order, by the oracle's walk (``_brute_force_levels``)."""
+    _require_kind(kind)
     found = _brute_force_levels(_require_curve(spec))[kind]
     return [LeveledDivisor(spec, levels, kind) for levels in found]
 
@@ -318,6 +315,7 @@ def _fold(table: Counter, steps: list[int]) -> Counter:
 
 def _allowed(spec: CurveSpec, kind: DivisorKind, avoid: Optional[int]) -> list:
     """Every level for every point, or only ``kind.avoided_level`` for ``avoid``."""
+    _require_kind(kind)
     allowed = [range(spec.n)] * spec.point_count
     if avoid is not None:
         allowed[avoid] = (kind.avoided_level(spec, avoid),)

@@ -41,8 +41,10 @@ class FFunctionTable(_Value):
     _fields = ("n", "d", "values", "cmax")
 
     def __init__(self, n: int, d: int, values: tuple[int, ...]):
-        if len(values) != n:
-            raise FFunctionError(f"table for n = {n} must have {n} entries")
+        _check_coprime(n, d)
+        if not (isinstance(values, tuple) and len(values) == n and all(map(is_int, values))):
+            raise FFunctionError(f"table for n = {n} must be a tuple of {n} integers, "
+                                 f"got {values!r}")
         if values[0] != 0 or values[n - 1] != n - 1:
             raise FFunctionError(f"f^({n})_{d} must have f(0) = 0 and f(n-1) = n-1")
         for l in range(n):
@@ -96,6 +98,8 @@ def f_recursive(n: int, d: int) -> FFunctionTable:
 
 def f_sign_flip(table: FFunctionTable) -> FFunctionTable:
     """Table for (n, n-d) from the table for (n, d): pointwise 2l - f(l)."""
+    if not isinstance(table, FFunctionTable):
+        raise FFunctionError(f"table must be an FFunctionTable, got {table!r}")
     n = table.n
     return FFunctionTable(n, n - table.d, tuple(2 * l - v for l, v in enumerate(table.values)))
 

@@ -171,14 +171,6 @@ def t_hat_admissible(xi: LeveledDivisor, q_id: int, r_id: int) -> bool:
     return xi.levels[r_id] == _tables_of(xi).expected[q_id][xi.levels[q_id]][r_id]
 
 
-def t_hat_partners(xi: LeveledDivisor, q_id: int) -> tuple[int, ...]:
-    """Every R with t_hat_admissible(xi, q_id, R), ascending."""
-    _require_points(_require_divisor(xi).curve, q_id)
-    if xi.kind is not DivisorKind.XI:
-        return ()
-    return _partners(_tables_of(xi), xi.levels, q_id)
-
-
 def apply_T_hat(xi: LeveledDivisor, q_id: int, r_id: int) -> LeveledDivisor:
     """Simplified swap: Q rises one level, R drops one level.
 
@@ -227,7 +219,7 @@ class GroupElement(_Value):
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self after other, by the dihedral rules M^n = 1, N^2 = 1, M N = N M^{-1}."""
-        if self.n != other.n:
+        if self.n != _require_element(other).n:
             raise DivisorError("group elements live mod different n")
         shift = self.shift - other.shift if self.reflect else self.shift + other.shift
         return GroupElement(self.n, shift, self.reflect != other.reflect)
@@ -237,14 +229,15 @@ class GroupElement(_Value):
             return self
         return GroupElement(self.n, -self.shift, False)
 
-    def __str__(self) -> str:
-        if self.reflect:
-            return f"M^{self.shift}.N" if self.shift else "N"
-        return f"M^{self.shift}" if self.shift else "id"
+
+def _require_element(g) -> GroupElement:
+    if not isinstance(g, GroupElement):
+        raise DivisorError(f"group element must be a GroupElement, got {g!r}")
+    return g
 
 
 def apply_group(xi: LeveledDivisor, g: GroupElement) -> LeveledDivisor:
     _require_xi(xi)
-    if g.n != xi.curve.n:
+    if _require_element(g).n != xi.curve.n:
         raise DivisorError("group element has the wrong modulus")
     return _image(xi, _group(_tables_of(xi), xi.levels, g))

@@ -201,11 +201,11 @@ def difbeta_hypothesis(xi: LeveledDivisor, beta: int) -> bool:
     mirror = (n - beta) % n
     if mirror == beta:
         return False
-    sets = xi.sets()
-    if curve.r(mirror) == 0 and all((beta, j) in sets for j in range(n)):
+    slots = set(zip(curve.alphas, xi.levels))
+    if curve.r(mirror) == 0 and all((beta, j) in slots for j in range(n)):
         return True
     return any(
-        (beta, j) in sets and (mirror, (n - 1 - j) % n) in sets for j in range(n)
+        (beta, j) in slots and (mirror, (n - 1 - j) % n) in slots for j in range(n)
     )
 
 
@@ -288,11 +288,6 @@ class FamilyCount(_Value):
     _fields = ("n", "skipped", "total_divisors", "xi_divisors", "m_orbits",
                "base_point_free_xi", "per_point_avoid")
 
-    def __init__(self, n: int, skipped: bool, total_divisors: int = 0, xi_divisors: int = 0,
-                 m_orbits: int = 0, base_point_free_xi: int = 0, per_point_avoid: tuple = ()):
-        super().__init__(n, skipped, total_divisors, xi_divisors, m_orbits,
-                         base_point_free_xi, per_point_avoid)
-
 
 class CountReport(_Value):
     _fields = ("family", "counts", "fit")
@@ -327,7 +322,7 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
     for n in n_values:
         spec = family.curve(n)
         if spec is None:
-            rows.append(FamilyCount(n=n, skipped=True))
+            rows.append(FamilyCount(n, True, 0, 0, 0, 0, ()))
             continue
         total = count_divisors(spec, DivisorKind.DELTA)
         xi_total = count_divisors(spec, DivisorKind.XI)

@@ -11,7 +11,10 @@ this as the ``verify`` command and turns findings into exit status 2.
 The shifted divisors are listed once per run, as level tuples (``_Run.xis``),
 once their exact count is within the cap.  The checks call the integer
 kernels of ``operators`` and ``denominators`` on them, the slot-walk oracle
-among them; only the evaluation check builds a ``LeveledDivisor``.
+among them.  Two checks build ``LeveledDivisor``s, unchecked: the non-special
+equivalence check one per degree-g level tuple it walks, for the public
+specialty index and condition test, and the evaluation check one per curve
+it evaluates h on.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ BRUTE_FORCE_LIMIT = 200_000  # the brute-force checks run only when n ** points 
 
 class Finding(_Value):
     _fields = ("check", "reproducer")
-
-    def __str__(self):
-        return f"{self.check}: {self.reproducer}"
 
 
 class _Run(_Value):
@@ -191,13 +191,13 @@ def _denominators(run: _Run) -> Iterator[str]:
         yield f"h degrees differ across divisors: {sorted(degrees)}"
 
 
-def _evaluation(run: _Run, trials: int = 20) -> Iterator[str]:
+def _evaluation(run: _Run) -> Iterator[str]:
     spec = run.spec
     rng = random.Random(run.seed)
     if not run.xis:
         return
     levels = run.xis[0]
-    for trial in range(trials):
+    for trial in range(20):
         lams = _distinct_rationals(rng, spec.point_count)
         cur = spec.with_lambdas(lams)
         div = LeveledDivisor._unchecked(cur, levels, DivisorKind.XI)

@@ -48,6 +48,15 @@ CAUGHT = [
      "            return [f\"points must be a tuple of BranchPoints, got {points!r}\"]\n",
      "            pass\n",
      "tests/test_curve.py"),
+    ("curve.py",  # a z-value that is not exact, a float or a string, builds a curve
+     "            if inexact:\n"
+     "                problems.append(f\"z-values must be integers or Fractions, got "
+     "{inexact[0]!r}\")\n            elif", "            if",
+     "tests/test_curve.py"),
+    ("curve.py",  # an int path is opened as a file descriptor, which is closed after
+     "    if not isinstance(path, (str, os.PathLike)):\n"
+     "        raise CurveError(f\"path must be a str or an os.PathLike, got {path!r}\")\n", "",
+     "tests/test_curve.py"),
     ("cli.py",  # the digit bound one digit too low refuses a value that fits
      "bits = (10 ** limit).bit_length()", "bits = (10 ** (limit - 1)).bit_length()",
      "tests/test_cli.py"),
@@ -66,6 +75,9 @@ CAUGHT = [
     ("divisors.py",
      "if stored > STATE_BUDGET:", "if stored >= STATE_BUDGET:",
      "tests/test_divisors.py"),
+    ("divisors.py",  # counting and listing read the shift of a kind that is not a DivisorKind
+     "    _require_kind(kind)\n    allowed = ", "    allowed = ",
+     "tests/test_gate.py"),
     ("divisors.py",
      "for rows in sorted(found):", "for rows in found:",
      "tests/test_divisors.py"),

@@ -479,7 +479,8 @@ def test_criterion5_denominator_invariance(battery_xis):
         for xi in xis:
             h = full_denominator(xi)
             degrees.add(degree(h))
-            if denominators._slot_walk(xi.curve, xi.levels, sorted(xi.sets(), reverse=True)) != h:
+            slots = sorted(set(zip(curve.alphas, xi.levels)), reverse=True)
+            if denominators._slot_walk(xi.curve, xi.levels, slots) != h:
                 bad.append(("order", curve.alphas, xi.levels))
             if full_denominator(apply_M(xi, 1)) != h:
                 bad.append(("rotation", curve.alphas, xi.levels))
@@ -635,10 +636,10 @@ def test_criterion6_worked_denominators():
             # the quoted common factor over the three first-class pairs
             from thomae import reduce_matrix
 
-            reduced = reduce_matrix(h)
+            entries, reduced = dict(h.items()), dict(reduce_matrix(h).items())
             checks.append(
                 all(
-                    h.unit_exponent(a, b) - reduced.unit_exponent(a, b) == common
+                    entries.get((a, b), 0) - reduced.get((a, b), 0) == common
                     for a, b in [(0, 1), (0, 2), (1, 2)]
                 )
             )

@@ -1,15 +1,23 @@
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from thomae import (
+    BranchPoint,
     CurveError,
     CurveSpec,
     curve_from_dict,
     e_factor,
     k_inverse,
+    load_curve,
 )
+
+
+def with_points(n, *points):
+    """The curve on n and the given (alpha, z-value) points, built directly."""
+    return CurveSpec(n, tuple(BranchPoint(alpha, None, lam) for alpha, lam in points))
 
 
 def test_validate_smallest_nonsingular():
@@ -48,8 +56,16 @@ def test_validate_duplicate_lambdas():
         (lambda: CurveSpec(5, 5), "points must be a tuple of BranchPoints, got 5"),
         (lambda: CurveSpec(n=5, points=(1, 2, 2)),
          r"points must be a tuple of BranchPoints, got \(1, 2, 2\)"),
+        (lambda: with_points(5, (1, 0.5), (1, 1), (1, 2), (2, 3)),
+         "z-values must be integers or Fractions, got 0.5"),
+        (lambda: with_points(5, (1, "0"), (1, "1"), (1, "2"), (2, "3")),
+         "z-values must be integers or Fractions, got '0'"),
+        (lambda: with_points(5, (1, 0), (1, True), (1, [2]), (2, None)),
+         "z-values must be given for all points or none; "
+         "z-values must be integers or Fractions, got True"),
     ],
-    ids=["alphas-outside-range", "alphas-not-units", "points-an-int", "points-not-branch-points"],
+    ids=["alphas-outside-range", "alphas-not-units", "points-an-int", "points-not-branch-points",
+         "z-value-a-float", "z-value-a-string", "z-values-partial-bool-and-list"],
 )
 def test_a_curve_that_is_not_fully_ramified_cannot_be_built(build, message):
     """The constructor refuses what only a valid curve may be, so no counter,
@@ -151,6 +167,8 @@ def test_library_z_values_are_read_like_the_document():
     spec = CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=[0, "7/3", Fraction(1, 4), "0.1"])
     assert spec.lambdas == (0, Fraction(7, 3), Fraction(1, 4), Fraction(1, 10))
     assert spec.with_lambdas(["-1", 2, Fraction(3), "4"]).lambdas == (-1, 2, 3, 4)
+    built = with_points(5, (1, 0), (1, Fraction(7, 3)), (1, Fraction(1, 4)), (2, Fraction(1, 10)))
+    assert built == spec  # a curve built directly takes ints and Fractions
 
 
 @pytest.mark.parametrize(
@@ -170,6 +188,23 @@ def test_library_z_values_refused_as_curve_errors(lambdas, match):
         CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=lambdas)
     with pytest.raises(CurveError, match=match):
         CurveSpec.from_alphas(5, [1, 1, 1, 2]).with_lambdas(lambdas)
+
+
+@pytest.mark.parametrize("path", ["descriptor", None, b"curve.json"], ids=["int", "none", "bytes"])
+def test_load_curve_refuses_a_path_that_is_not_a_str_before_opening_it(path, tmp_path):
+    """``open`` takes an int as a file descriptor and closes it when done, so
+    load_curve(3) read descriptor 3 and closed it (and load_curve(True) closed
+    stdout); a descriptor opened here is still open after the refusal."""
+    file = tmp_path / "curve.json"
+    file.write_text('{"n": 5, "points": [{"alpha": 1}, {"alpha": 2}, {"alpha": 2}]}')
+    fd = os.open(file, os.O_RDONLY)
+    try:
+        with pytest.raises(CurveError, match="^path must be a str or an os.PathLike, got "):
+            load_curve(fd if path == "descriptor" else path)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert load_curve(file) == load_curve(str(file)) == CurveSpec.from_alphas(5, [1, 2, 2])
 
 
 def test_json_rejects_floats():

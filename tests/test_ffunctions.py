@@ -13,7 +13,7 @@ from thomae import (
     k_inverse,
 )
 from thomae.curve import CurveError
-from thomae.ffunctions import FFunctionError
+from thomae.ffunctions import FFunctionError, FFunctionTable
 
 
 def coprime_pairs(max_n):
@@ -212,9 +212,11 @@ def test_tables_are_cached():
         lambda: f_closed_form(7.0, 2, 1),
         lambda: f_closed_form(7, 1, 1.0),
         lambda: c_constant(7.0, 2),
+        lambda: FFunctionTable(7.0, 1, f_chain(7, 1).values),
+        lambda: FFunctionTable(7, True, f_chain(7, 1).values),
     ],
     ids=["float_n", "float_d", "bool_d", "str_n", "recursive_float_n", "recursive_bool_d",
-         "closed_float_n", "closed_float_l", "constant_float_n"],
+         "closed_float_n", "closed_float_l", "constant_float_n", "table_float_n", "table_bool_d"],
 )
 def test_non_integer_arguments_are_refused(call):
     """Refused with FFunctionError before any cache is read, so also once the

@@ -1,9 +1,11 @@
-"""Every public function that takes a point index or an exponent class refuses
+"""Every public function that takes a point index, an exponent class or n refuses
 anything but an integer with DivisorError or CurveError, and gives a result or
 one of those refusals for any integer; one that takes a curve refuses anything
-but a CurveSpec, one that takes a divisor, a denominator matrix or a family
-anything but a LeveledDivisor, an ExponentMatrix or a FamilySpec, and exponent
-lists refuse what is not a sequence of integers."""
+but a CurveSpec, one that takes a divisor, a denominator matrix, a group element,
+a divisor kind or a family anything but a LeveledDivisor, an ExponentMatrix, a
+GroupElement, a DivisorKind or a FamilySpec, one that takes an f-function table
+anything but an FFunctionTable, and exponent lists refuse what is not a sequence
+of integers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +34,10 @@ from thomae import (
     difbeta_hypothesis,
     difbeta_reachability,
     divisor_from_exponents,
+    e_factor,
     enumerate_divisors,
     evaluate,
+    f_sign_flip,
     fit_count_polynomial,
     full_denominator,
     matrix_quotient,
@@ -45,12 +49,12 @@ from thomae import (
     specialty_index,
     t_admissible,
     t_hat_admissible,
-    t_hat_partners,
     theta_relation_shift,
 )
 from thomae import build_graph, orbits, run_suite, verify
 from thomae.curve import is_int
 from thomae.divisors import CardinalityMatrix, expand_matrix
+from thomae.ffunctions import FFunctionError, FFunctionTable
 
 CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
 XI = LeveledDivisor(CURVE, (0, 0, 2, 1), DivisorKind.XI)  # point 0 at level 0
@@ -66,7 +70,6 @@ VALUES = st.one_of(
 
 # name -> (number of generated arguments, the call)
 CALLS = {
-    "t_hat_partners": (1, lambda q: t_hat_partners(XI, q)),
     "t_hat_admissible": (2, lambda q, r: t_hat_admissible(XI, q, r)),
     "t_admissible": (2, lambda q, r: t_admissible(XI, q, r)),
     "apply_T": (2, lambda q, r: apply_T(XI, q, r)),
@@ -77,12 +80,12 @@ CALLS = {
     "pmt_denominator": (1, lambda beta: pmt_denominator(XI, beta)),
     "apply_N_beta": (1, lambda beta: apply_N_beta(XI, beta)),
     "ExponentMatrix": (2, lambda i, j: ExponentMatrix(CURVE, {(i, j): 1})),
-    "unit_exponent": (2, lambda i, j: ExponentMatrix(CURVE).unit_exponent(i, j)),
     "count_divisors_delta": (1, lambda p: count_divisors(CURVE, DivisorKind.DELTA, avoid=p)),
     "count_divisors_xi": (1, lambda p: count_divisors(CURVE, DivisorKind.XI, avoid=p)),
     "enumerate_divisors": (1, lambda p: list(enumerate_divisors(CURVE, DivisorKind.XI, p))),
     "difbeta_hypothesis": (1, lambda beta: difbeta_hypothesis(XI, beta)),
     "difbeta_reachability": (1, lambda beta: difbeta_reachability(XI, XI, beta)),
+    "e_factor": (1, e_factor),
 }
 
 
@@ -187,10 +190,11 @@ RECORD_CALLS = {
     "apply_T": ("LeveledDivisor", lambda xi: apply_T(xi, 0, 1)),
     "apply_T_hat": ("LeveledDivisor", lambda xi: apply_T_hat(xi, 0, 1)),
     "apply_group": ("LeveledDivisor", lambda xi: apply_group(xi, GroupElement(5, 1, False))),
+    "apply_group-element": ("GroupElement", lambda g: apply_group(XI, g)),
+    "compose": ("GroupElement", lambda g: GroupElement(5, 1, False).compose(g)),
     "base_point_representative": ("LeveledDivisor", lambda xi: base_point_representative(xi, 0)),
     "t_admissible": ("LeveledDivisor", lambda xi: t_admissible(xi, 0, 1)),
     "t_hat_admissible": ("LeveledDivisor", lambda xi: t_hat_admissible(xi, 0, 1)),
-    "t_hat_partners": ("LeveledDivisor", lambda xi: t_hat_partners(xi, 0)),
     "full_denominator": ("LeveledDivisor", full_denominator),
     "pmt_denominator": ("LeveledDivisor", lambda xi: pmt_denominator(xi, 1)),
     "pmt_gamma_denominator": ("LeveledDivisor", lambda xi: pmt_gamma_denominator(xi, 0, 1)),
@@ -208,6 +212,10 @@ RECORD_CALLS = {
     "degree": ("ExponentMatrix", degree),
     "matrix_quotient-first": ("ExponentMatrix", lambda m: matrix_quotient(m, H)),
     "matrix_quotient-second": ("ExponentMatrix", lambda m: matrix_quotient(H, m)),
+    "add": ("ExponentMatrix", lambda m: H + m),
+    "count_divisors-kind": ("DivisorKind", lambda kind: count_divisors(CURVE, kind)),
+    "enumerate_divisors-kind": ("DivisorKind", lambda kind: list(enumerate_divisors(CURVE, kind))),
+    "brute_force_divisors-kind": ("DivisorKind", lambda kind: brute_force_divisors(CURVE, kind)),
     "count_family": ("FamilySpec", lambda family: count_family(family, [5])),
 }
 
@@ -219,9 +227,28 @@ RECORD_CALLS = {
 )
 def test_a_divisor_matrix_or_family_of_another_type_is_refused(name, value):
     """A DivisorError naming the record, never a bare AttributeError from
-    reading its curve, kind, levels or exponent lists."""
+    reading its curve, kind, levels, modulus or exponent lists, nor a KeyError
+    from looking a kind up."""
     record, call = RECORD_CALLS[name]
     with pytest.raises(DivisorError, match=f"must be an? {record}, got "):
+        call(value)
+
+
+# name -> (the words of the refusal, a call that takes the argument as its one argument)
+FFUNCTION_CALLS = {
+    "f_sign_flip": ("table must be an FFunctionTable", f_sign_flip),
+    "FFunctionTable": ("table for n = 5 must be a tuple of 5 integers",
+                       lambda values: FFunctionTable(5, 1, values)),
+}
+
+
+@pytest.mark.parametrize("name", FFUNCTION_CALLS)
+@pytest.mark.parametrize("value", [5, None, (0, 4.0, 6, 6, 4)], ids=["int", "none", "floats"])
+def test_an_f_function_table_or_its_values_of_another_type_are_refused(name, value):
+    """An FFunctionError, never a bare AttributeError or TypeError from reading
+    the table's n or the length of its values, nor a table of floats."""
+    words, call = FFUNCTION_CALLS[name]
+    with pytest.raises(FFunctionError, match=f"^{words}, got "):
         call(value)
 
 

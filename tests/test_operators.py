@@ -25,8 +25,8 @@ from thomae import (
     satisfies_conditions,
     t_admissible,
     t_hat_admissible,
-    t_hat_partners,
 )
+from thomae import operators
 
 
 def coprime_residues(n):
@@ -192,8 +192,6 @@ def test_swap_rejects_self_pair():
 @pytest.mark.parametrize(
     "operator,args",
     [
-        (t_hat_partners, (-1,)),
-        (t_hat_partners, (4,)),
         (t_hat_admissible, (0, 9)),
         (t_admissible, (-1, 0)),
         (base_point_representative, (-1,)),
@@ -280,18 +278,19 @@ def test_simple_swap_inverse_pairing(small_battery):
 
 def test_simple_swap_partners_match_probes(full_battery):
     for curve in full_battery:
-        points = range(curve.point_count)
+        points, tables = range(curve.point_count), operators._tables(curve.n, curve.alphas)
         for xi in xis(curve):
             for q in points:
                 probed = tuple(r for r in points if t_hat_admissible(xi, q, r))
-                assert t_hat_partners(xi, q) == probed
+                assert operators._partners(tables, xi.levels, q) == probed
 
 
 def test_operator_images_match_their_definitions(full_battery):
-    """Every public image and partner list against the operators' definitions,
-    transcribed point by point."""
+    """Every public image and the partner-list kernel against the operators'
+    definitions, transcribed point by point."""
     for curve in full_battery:
         n, alphas, points = curve.n, curve.alphas, range(curve.point_count)
+        tables = operators._tables(n, alphas)
         for xi in xis(curve):
             lv = xi.levels
             for k in (1, -1, n):
@@ -315,7 +314,7 @@ def test_operator_images_match_their_definitions(full_battery):
                         want = list(lv)
                         want[q], want[r] = (want[q] + 1) % n, (want[r] - 1) % n
                         assert apply_T_hat(xi, q, r).levels == tuple(want)
-                assert t_hat_partners(xi, q) == tuple(partners)
+                assert operators._partners(tables, lv, q) == tuple(partners)
 
 
 def test_simple_swap_admissibility_is_orbit_stable(small_battery):
