@@ -20,7 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "curve": "BranchPoint CurveError CurveSpec curve_from_dict e_factor k_inverse load_curve",
+        "curve": """BranchPoint CurveError CurveSpec ThomaeError curve_from_dict e_factor
+            k_inverse load_curve""",
         "denominators": """EvalMode ExponentMatrix degree evaluate full_denominator
             matrix_quotient matrix_to_dict pmt_denominator pmt_gamma_denominator
             reduce_matrix theta_relation_shift""",

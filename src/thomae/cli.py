@@ -313,20 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refusals() -> tuple:
-    """The errors ``main`` turns into one ``error:`` line.  An except clause
-    evaluates its classes only once an exception reaches it, so a job that
-    raises nothing never imports ``ffunctions`` for its error class."""
-    from .curve import CurveError
-    from .divisors import DivisorError
-    from .ffunctions import FFunctionError
-
-    return CurveError, DivisorError, FFunctionError, OSError
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .curve import curve_from_dict, read_document
+    from .curve import ThomaeError, curve_from_dict, read_document
 
     try:
         documents, inputs = {}, {}
@@ -336,7 +325,7 @@ def main(argv=None) -> int:
             documents["curve"] = curve_from_dict(documents["curve"])
         fields, csv_rows = args.func(args, **documents)
         _emit({"version": __version__, "inputs": inputs, **fields}, args.format, csv_rows)
-    except _refusals() as exc:
+    except (ThomaeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_ERROR
     return INVARIANT_VIOLATION if fields.get("findings") else 0

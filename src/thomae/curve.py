@@ -22,13 +22,17 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class CurveError(ValueError):
+class ThomaeError(ValueError):
+    """The base of every refusal the package raises, which the CLI catches."""
+
+
+class CurveError(ThomaeError):
     """Raised for structurally unusable curve input (parse errors and such)."""
 
 
 def k_inverse(beta: int, n: int) -> int:
     """The representative in {0..n-1} of the inverse of beta mod n."""
-    if not (is_int(beta) and is_int(n)) or gcd(beta, n) != 1:
+    if not (is_int(beta) and is_int(n)) or n < 1 or gcd(beta, n) != 1:
         raise CurveError(f"{beta!r} is not an invertible integer mod {n!r}")
     return pow(beta, -1, n)
 
@@ -105,14 +109,8 @@ class CurveSpec(_Value):
             raise CurveError("; ".join(problems))
 
     @classmethod
-    def from_alphas(
-        cls,
-        n: int,
-        alphas: Sequence[int],
-        lambdas: Optional[Sequence[Fraction]] = None,
-    ) -> "CurveSpec":
-        spec = cls(n, tuple(map(BranchPoint, _sequence("alphas", alphas))))
-        return spec if lambdas is None else spec.with_lambdas(lambdas)
+    def from_alphas(cls, n: int, alphas: Sequence[int]) -> "CurveSpec":
+        return cls(n, tuple(map(BranchPoint, _sequence("alphas", alphas))))
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
@@ -285,15 +283,16 @@ def curve_from_dict(data: dict) -> CurveSpec:
 
 def read_document(path: str) -> tuple[object, str]:
     """The JSON document in the file at ``path`` and the first 16 hex digits of the
-    SHA-256 of the same bytes, read once, so a pipe works; bytes that are not UTF-8,
-    or JSON that ``json.loads`` refuses or recurses too deep on, are refused with the path.
-    A ``path`` that is not a str or an ``os.PathLike`` is refused before anything is
-    opened: ``open`` would take an int for a file descriptor and close it."""
+    SHA-256 of the same bytes, read once, so a pipe works; a path that ``open`` refuses
+    (a NUL byte), bytes that are not UTF-8, or JSON that ``json.loads`` refuses or
+    recurses too deep on, are refused with the path.  A ``path`` that is not a str or
+    an ``os.PathLike`` is refused before anything is opened: ``open`` would take an
+    int for a file descriptor and close it."""
     if not isinstance(path, (str, os.PathLike)):
         raise CurveError(f"path must be a str or an os.PathLike, got {path!r}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
         document = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # decode errors and the digit limit are ValueErrors
         raise CurveError(f"{path}: {exc}") from None

@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Mapping, Optional
+from typing import Optional
 
 from .curve import CurveSpec, _Value, e_factor, is_int, k_inverse
 from .divisors import DivisorError, LeveledDivisor, _require_curve, _require_int, _require_points
@@ -73,6 +74,8 @@ class ExponentMatrix(_Value):
         """Entries keyed by point pairs in either order; each unordered pair of
         two distinct points of the curve may be given once."""
         p = _require_curve(curve).point_count
+        if entries is not None and not isinstance(entries, Mapping):
+            raise DivisorError(f"entries must be a Mapping, got {entries!r}")
         values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
         for pair, v in (entries or {}).items():

@@ -29,10 +29,10 @@ from functools import reduce
 from operator import add, getitem, lt, sub
 from typing import Iterator, Optional
 
-from .curve import CurveSpec, _Value, is_int
+from .curve import CurveSpec, ThomaeError, _Value, is_int
 
 
-class DivisorError(ValueError):
+class DivisorError(ThomaeError):
     pass
 
 
@@ -72,12 +72,16 @@ def _require_kind(kind) -> None:
         raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
 
 
-def _require_ints(what: str, values) -> tuple:
-    """``values`` as a tuple, once each of them is known to be an integer."""
+def _require_sequence(what: str, values) -> tuple:
     try:
-        values = tuple(values)
+        return tuple(values)
     except TypeError:
         raise DivisorError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def _require_ints(what: str, values) -> tuple:
+    """``values`` as a tuple, once each of them is known to be an integer."""
+    values = _require_sequence(what, values)
     if not all(map(is_int, values)):
         raise DivisorError(f"{what} must be integers: {values}")
     return values
@@ -102,7 +106,7 @@ class DivisorKind(Enum):
     def avoided_level(self, spec: CurveSpec, point: int) -> int:
         """The level an avoided ``point`` sits at: n-1 (exponent 0) for DELTA,
         0 (exponent n-1, the base-point slot) for XI."""
-        _require_points(spec, point)
+        _require_points(_require_curve(spec), point)
         return spec.n - 1 if self is DivisorKind.DELTA else 0
 
 
@@ -186,7 +190,7 @@ class CardinalityMatrix(_Value):
             counts = tuple((alpha, tuple(row)) for alpha, row in counts)
         except (TypeError, ValueError):
             raise DivisorError(f"counts must be (alpha, row) pairs, got {counts!r}") from None
-        if tuple(alpha for alpha, _ in counts) != curve.classes:
+        if tuple(alpha for alpha, _ in counts) != _require_curve(curve).classes:
             raise DivisorError(f"rows must be the classes {curve.classes}, in order")
         for alpha, row in counts:
             if len(row) != curve.n or not all(is_int(c) and c >= 0 for c in row):

@@ -17,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .curve import _Value, is_int
+from .curve import ThomaeError, _Value, is_int
 
 
-class FFunctionError(ValueError):
+class FFunctionError(ThomaeError):
     pass
 
 

@@ -34,11 +34,15 @@ class AdmissibilityError(DivisorError):
 
 def a_value(beta: int, alpha: int, l: int, n: int) -> int:
     """The reflection l -> alpha * beta^{-1} - 1 - l mod n."""
+    _require_int("alpha", alpha)
+    _require_int("the level", l)
     return (alpha * k_inverse(beta, n) - 1 - l) % n
 
 
 def b_value(beta: int, alpha: int, l: int, n: int) -> int:
     """The reflection l -> 2 * alpha * beta^{-1} - 1 - l mod n."""
+    _require_int("alpha", alpha)
+    _require_int("the level", l)
     return (2 * alpha * k_inverse(beta, n) - 1 - l) % n
 
 

@@ -36,6 +36,7 @@ from .divisors import (
     _require_curve,
     _require_divisor,
     _require_int,
+    _require_sequence,
     _require_vertices,
     count_base_point_free,
     count_divisors,
@@ -319,7 +320,7 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
     if not isinstance(family, FamilySpec):
         raise DivisorError(f"family must be a FamilySpec, got {family!r}")
     rows = []
-    for n in n_values:
+    for n in _require_sequence("n_values", n_values):
         spec = family.curve(n)
         if spec is None:
             rows.append(FamilyCount(n, True, 0, 0, 0, 0, ()))

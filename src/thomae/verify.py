@@ -39,6 +39,8 @@ from .divisors import (
     _meets,
     _require_cap,
     _require_curve,
+    _require_int,
+    _require_sequence,
     _require_vertices,
     satisfies_conditions,
     specialty_index,
@@ -243,8 +245,9 @@ def run_suite(
     """Run the named checks (all by default); returns (checks run, findings)."""
     _require_curve(spec)
     _require_cap("max_vertices", max_vertices)
-    names = list(_CHECKS) if checks is None else list(checks)
-    unknown = [name for name in names if name not in _CHECKS]
+    _require_int("seed", seed)
+    names = list(_CHECKS) if checks is None else list(_require_sequence("checks", checks))
+    unknown = [name for name in names if not isinstance(name, str) or name not in _CHECKS]
     if unknown:
         raise DivisorError(f"unknown check {unknown[0]!r}")
     repeated = [name for i, name in enumerate(names) if name in names[:i]]

@@ -60,6 +60,10 @@ CAUGHT = [
     ("cli.py",  # the digit bound one digit too low refuses a value that fits
      "bits = (10 ** limit).bit_length()", "bits = (10 ** (limit - 1)).bit_length()",
      "tests/test_cli.py"),
+    ("denominators.py",  # entries that are not a mapping reach .items()
+     "        if entries is not None and not isinstance(entries, Mapping):\n"
+     "            raise DivisorError(f\"entries must be a Mapping, got {entries!r}\")\n", "",
+     "tests/test_gate.py"),
     ("denominators.py",
      "    out[rows[q_id][r_id]] = 0  # the pair {Q, R} itself does not move\n", "",
      "tests/test_denominators.py"),
@@ -69,6 +73,9 @@ CAUGHT = [
     ("denominators.py",
      "if i == q_id or v == 0 and alpha in classes:", "if i == q_id:",
      "tests/test_denominators.py"),
+    ("divisors.py",  # a DivisorError is no refusal that main catches, and escapes as a traceback
+     "class DivisorError(ThomaeError):", "class DivisorError(ValueError):",
+     "tests/test_cli.py"),
     ("divisors.py",
      "if len(out) > STATE_BUDGET:", "if len(out) >= STATE_BUDGET:",
      "tests/test_divisors.py"),
@@ -106,6 +113,9 @@ CAUGHT = [
     ("orbits.py",
      "for x, y in counts[: degree_hint + 1]:", "for x, y in counts[: degree_hint]:",
      "tests/test_orbits.py"),
+    ("verify.py",  # checks that are not a sequence are iterated
+     "list(_require_sequence(\"checks\", checks))", "list(checks)",
+     "tests/test_gate.py"),
     ("verify.py",  # the degree filter looks at divisors of degree g - 1
      "level_sum = p * (n - 1) - spec.genus()", "level_sum = p * (n - 1) - spec.genus() + 1",
      "tests/test_verify.py"),

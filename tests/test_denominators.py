@@ -476,8 +476,8 @@ def test_evaluate_zero_matrix():
 
 
 def test_evaluate_single_pair():
-    curve = CurveSpec.from_alphas(
-        3, [1, 1, 1], lambdas=[Fraction(0), Fraction(1), Fraction(2)]
+    curve = CurveSpec.from_alphas(3, [1, 1, 1]).with_lambdas(
+        [Fraction(0), Fraction(1), Fraction(2)]
     )
     mat = ExponentMatrix(curve, {(0, 1): 1})
     assert evaluate(mat, EvalMode.EXACT_RATIONAL) == 1  # (0-1)^6

@@ -45,8 +45,8 @@ def xi_of(curve, exponents):
 
 def three_point_curve(n):
     """w^n = (z-a)(z-b)^2(z-c)^(n-3) with distinct rational z-values."""
-    return CurveSpec.from_alphas(
-        n, [1, 2, n - 3], lambdas=[Fraction(0), Fraction(1), Fraction(2)]
+    return CurveSpec.from_alphas(n, [1, 2, n - 3]).with_lambdas(
+        [Fraction(0), Fraction(1), Fraction(2)]
     )
 
 
@@ -161,7 +161,7 @@ def test_equivalence_index_vs_conditions(small_battery):
 def test_rank_oracle_agrees_with_index():
     for n, alphas in [(5, [1, 2, 2]), (7, [1, 2, 4]), (5, [1, 1, 1, 2]), (6, [1, 1, 1, 1, 1, 1])]:
         lams = [Fraction(i) for i in range(len(alphas))]
-        curve = CurveSpec.from_alphas(n, alphas, lambdas=lams)
+        curve = CurveSpec.from_alphas(n, alphas).with_lambdas(lams)
         g = curve.genus()
         for levels in itertools.product(range(n), repeat=curve.point_count):
             div = LeveledDivisor(curve, levels, DivisorKind.DELTA)
@@ -175,7 +175,7 @@ def test_nth_power_divisors_are_special():
     for n, alphas in [(3, [1, 1, 1, 1, 1, 1]), (4, [1, 1, 1, 1]), (5, [1, 2, 2]),
                       (5, [1, 1, 1, 2]), (6, [1, 1, 1, 1, 1, 1])]:
         lams = [Fraction(i) for i in range(len(alphas))]
-        curve = CurveSpec.from_alphas(n, alphas, lambdas=lams)
+        curve = CurveSpec.from_alphas(n, alphas).with_lambdas(lams)
         g = curve.genus()
         npts = curve.point_count
         checked = 0

@@ -19,12 +19,14 @@ from thomae import (
     FamilySpec,
     GroupElement,
     LeveledDivisor,
+    a_value,
     apply_group,
     apply_M,
     apply_N,
     apply_N_beta,
     apply_T,
     apply_T_hat,
+    b_value,
     base_point_representative,
     brute_force_divisors,
     count_base_point_free,
@@ -40,6 +42,8 @@ from thomae import (
     f_sign_flip,
     fit_count_polynomial,
     full_denominator,
+    k_inverse,
+    load_curve,
     matrix_quotient,
     matrix_to_dict,
     pmt_denominator,
@@ -86,6 +90,8 @@ CALLS = {
     "difbeta_hypothesis": (1, lambda beta: difbeta_hypothesis(XI, beta)),
     "difbeta_reachability": (1, lambda beta: difbeta_reachability(XI, XI, beta)),
     "e_factor": (1, e_factor),
+    "a_value": (2, lambda alpha, l: a_value(2, alpha, l, 5)),
+    "b_value": (2, lambda alpha, l: b_value(2, alpha, l, 5)),
 }
 
 
@@ -133,19 +139,33 @@ def test_non_integer_n_and_alpha_are_refused(n, alphas):
         CurveSpec.from_alphas(n, alphas)
 
 
+# name -> (the call, its refusal, the words of the refusal)
 NOT_SEQUENCES = {
-    "alphas-int": (lambda: CurveSpec.from_alphas(5, 3), "alphas"),
-    "alphas-none": (lambda: CurveSpec.from_alphas(5, None), "alphas"),
-    "lambdas-int": (lambda: CurveSpec.from_alphas(5, [1, 1, 1, 2], lambdas=5), "z-values"),
-    "with-lambdas-none": (lambda: CURVE.with_lambdas(None), "z-values"),
+    "alphas-int": (lambda: CurveSpec.from_alphas(5, 3), CurveError, "alphas must be a sequence"),
+    "alphas-none": (lambda: CurveSpec.from_alphas(5, None), CurveError,
+                    "alphas must be a sequence"),
+    "lambdas-int": (lambda: CURVE.with_lambdas(5), CurveError, "z-values must be a sequence"),
+    "with-lambdas-none": (lambda: CURVE.with_lambdas(None), CurveError,
+                          "z-values must be a sequence"),
+    "exponent-matrix-int": (lambda: ExponentMatrix(CURVE, 5), DivisorError,
+                            "entries must be a Mapping, got 5"),
+    "exponent-matrix-pairs": (lambda: ExponentMatrix(CURVE, [((0, 1), 1)]), DivisorError,
+                              "entries must be a Mapping, got "),
+    "count-family-int": (lambda: count_family(FamilySpec((1, 1, 1), (1, 1, 1)), 5), DivisorError,
+                         "n_values must be a sequence, got 5"),
+    "run-suite-int": (lambda: run_suite(CURVE, checks=5), DivisorError,
+                      "checks must be a sequence, got 5"),
 }
 
 
 @pytest.mark.parametrize("name", NOT_SEQUENCES)
 def test_curve_arguments_that_are_not_sequences_are_refused(name):
-    """A CurveError, never a bare TypeError from iterating an int or None."""
-    call, what = NOT_SEQUENCES[name]
-    with pytest.raises(CurveError, match=f"{what} must be a sequence"):
+    """The curve's alphas and z-values, a matrix's entries, a sweep's values of
+    n and the names of the checks: refused with the row's error, never a bare
+    TypeError or AttributeError from iterating an int or None or from reading
+    the items of what is not a mapping."""
+    call, error, words = NOT_SEQUENCES[name]
+    with pytest.raises(error, match=words):
         call()
 
 
@@ -161,6 +181,9 @@ CURVE_CALLS = {
     "brute_force_divisors": lambda curve: brute_force_divisors(curve, DivisorKind.XI),
     "build_graph": build_graph,
     "run_suite": run_suite,
+    "avoided_level": lambda curve: DivisorKind.XI.avoided_level(curve, 0),
+    "CardinalityMatrix": lambda curve: CardinalityMatrix(
+        curve, ((1, (3, 0, 0, 0, 0)), (2, (1, 0, 0, 0, 0))), DivisorKind.XI),
 }
 
 
@@ -392,3 +415,33 @@ def test_vertex_caps_are_checked_on_the_exact_count_before_any_listing(monkeypat
     monkeypatch.undo()
     assert build_graph(CURVE, max_vertices=30).vertex_count == 30
     assert run_suite(CURVE, ["operators"], max_vertices=30) == (["operators"], [])
+
+
+# name -> (a call that ended in a bare exception, its refusal, the words of the refusal)
+OFF_DOMAIN = {
+    "k_inverse-mod-0": (lambda: k_inverse(1, 0), CurveError,
+                        "^1 is not an invertible integer mod 0$"),
+    "k_inverse-minus-one-mod-0": (lambda: k_inverse(-1, 0), CurveError,
+                                  "^-1 is not an invertible integer mod 0$"),
+    "k_inverse-negative-modulus": (lambda: k_inverse(2, -3), CurveError,
+                                   "^2 is not an invertible integer mod -3$"),
+    "load_curve-nul": (lambda: load_curve("c\0.json"), CurveError, "embedded null byte"),
+    "run_suite-seed-list": (lambda: run_suite(CURVE, ["evaluation"], seed=[1]), DivisorError,
+                            r"^seed must be an integer, got \[1\]$"),
+    "run_suite-seed-float": (lambda: run_suite(CURVE, ["evaluation"], seed=1.5), DivisorError,
+                             "^seed must be an integer, got 1.5$"),
+    "run_suite-seed-none": (lambda: run_suite(CURVE, ["evaluation"], seed=None), DivisorError,
+                            "^seed must be an integer, got None$"),
+    "run_suite-unhashable-check": (lambda: run_suite(CURVE, [[1]]), DivisorError,
+                                   r"^unknown check \[1\]$"),
+}
+
+
+@pytest.mark.parametrize("name", OFF_DOMAIN)
+def test_calls_off_the_domain_are_refused(name):
+    """No ValueError from pow() with modulus 0 or from a path with a NUL byte, no
+    TypeError from seeding random with a list or hashing a list, and no float or
+    None seed, which random takes but ``verify`` cannot reproduce from its report."""
+    call, error, words = OFF_DOMAIN[name]
+    with pytest.raises(error, match=words):
+        call()
