@@ -29,8 +29,8 @@ _EXPORTS = {
             brute_force_divisors count_base_point_free count_divisors divisor_from_exponents
             enumerate_cardinality_matrices enumerate_divisors expand_matrix
             satisfies_conditions specialty_index""",
-        "ffunctions": """ClosedFormUnavailable FFunctionTable c_constant f_chain f_closed_form
-            f_recursive f_sign_flip""",
+        "ffunctions": """ClosedFormUnavailable FFunctionTable f_chain f_closed_form f_recursive
+            f_sign_flip""",
         "operators": """AdmissibilityError GroupElement a_value apply_group apply_M apply_N
             apply_N_beta apply_T apply_T_hat b_value base_point_representative t_admissible
             t_hat_admissible""",

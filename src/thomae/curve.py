@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter
 from functools import cached_property
 from math import gcd
 from operator import attrgetter
@@ -62,6 +61,13 @@ class _Value:
         if len(values) != len(self._fields) or named:
             raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} once")
         self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _make(cls, *values):
+        """The record of ``values``, in field order, with no check: the caller knows them valid."""
+        out = object.__new__(cls)
+        out.__dict__.update(zip(cls._fields, values))
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -131,13 +137,11 @@ class CurveSpec(_Value):
         alpha_i * n + l, and slot ids sort like the (alpha, level) pairs."""
         return tuple(a * self.n for a in self.alphas)
 
-    @cached_property
-    def _class_sizes(self) -> Counter:
-        return Counter(self.alphas)
-
     def r(self, alpha: int) -> int:
         """Number of branch points in the class alpha."""
-        return self._class_sizes[alpha]
+        if not is_int(alpha):
+            raise CurveError(f"alpha must be an integer, got {alpha!r}")
+        return self.alphas.count(alpha)
 
     @property
     def lambdas(self) -> Optional[tuple[Fraction, ...]]:

@@ -50,7 +50,7 @@ from typing import Optional
 
 from .curve import CurveSpec, _Value, e_factor, is_int, k_inverse
 from .divisors import DivisorError, LeveledDivisor, _require_curve, _require_int, _require_points
-from .ffunctions import c_constant, f_chain
+from .ffunctions import f_chain
 from .operators import _negate, _require_swap_pair, _require_xi, _tables
 
 
@@ -109,7 +109,7 @@ class ExponentMatrix(_Value):
         """op(self, other), entrywise."""
         if self.curve != _require_matrix(other).curve:
             raise DivisorError("matrices live on different curves")
-        return _matrix(self.curve, tuple(map(op, self._values, other._values)))
+        return ExponentMatrix._make(self.curve, tuple(map(op, self._values, other._values)))
 
     def __add__(self, other: "ExponentMatrix") -> "ExponentMatrix":
         return self._combine(other, add)
@@ -141,7 +141,8 @@ def _slot_pair_exponent(n: int, first: int, second: int) -> int:
     where d = alpha * delta^{-1} and l = l' - r * d mod n."""
     (delta, r), (alpha, lj) = divmod(first, n), divmod(second, n)
     d = (alpha * k_inverse(delta, n)) % n
-    return c_constant(n, d) - f_chain(n, d)[(lj - r * d) % n]
+    table = f_chain(n, d)
+    return table.cmax - table[(lj - r * d) % n]
 
 
 def full_denominator(xi: LeveledDivisor) -> ExponentMatrix:
@@ -152,7 +153,7 @@ def full_denominator(xi: LeveledDivisor) -> ExponentMatrix:
     ``_slot_walk`` is the oracle that walks them in a given slot order instead.
     """
     _require_xi(xi)
-    return _matrix(xi.curve, _h(xi.curve, xi.levels))
+    return ExponentMatrix._make(xi.curve, _h(xi.curve, xi.levels))
 
 
 @lru_cache(maxsize=None)
@@ -169,13 +170,6 @@ def _pair_rows(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(index.get((min(i, j), max(i, j)), len(index)) for j in range(p)) for i in range(p)
     )
-
-
-def _matrix(curve: CurveSpec, values: tuple[int, ...]) -> ExponentMatrix:
-    """The matrix of a dense tuple in ``_pairs`` order, taken as it is."""
-    out = object.__new__(ExponentMatrix)
-    out.__dict__.update(curve=curve, _values=values)
-    return out
 
 
 def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,7 +189,7 @@ def _slot_walk(curve: CurveSpec, levels: tuple[int, ...], slots: list) -> Expone
     if sorted(slots) != sorted(set(zip(curve.alphas, levels))):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
     rank = {alpha * n + level: k for k, (alpha, level) in enumerate(slots)}
-    return _matrix(curve, tuple(
+    return ExponentMatrix._make(curve, tuple(
         _slot_pair_exponent(n, s, t) if rank[s] <= rank[t] else _slot_pair_exponent(n, t, s)
         for s, t in itertools.combinations(map(add, curve.slot_bases, levels), 2)
     ))
@@ -252,7 +246,7 @@ def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:
     """
     _require_xi(xi)
     _require_int("beta", beta)
-    return _matrix(xi.curve, _g(xi.curve, xi.levels, beta))
+    return ExponentMatrix._make(xi.curve, _g(xi.curve, xi.levels, beta))
 
 
 def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> ExponentMatrix:
@@ -274,7 +268,7 @@ def pmt_gamma_denominator(xi: LeveledDivisor, q_id: int, gamma: int) -> Exponent
         raise DivisorError("the base point must sit at level 0")
     if gamma not in curve.classes:
         raise DivisorError(f"no branch points of class {gamma}")
-    return _matrix(curve, _q(curve, xi.levels, q_id, gamma))
+    return ExponentMatrix._make(curve, _q(curve, xi.levels, q_id, gamma))
 
 
 def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMatrix:
@@ -285,7 +279,7 @@ def theta_relation_shift(xi: LeveledDivisor, q_id: int, r_id: int) -> ExponentMa
     difference is this matrix, and h, g and q each change by exactly it.
     """
     _require_swap_pair(xi, q_id, r_id)
-    return _matrix(xi.curve, _shift(xi.curve, xi.levels, q_id, r_id))
+    return ExponentMatrix._make(xi.curve, _shift(xi.curve, xi.levels, q_id, r_id))
 
 
 def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:
@@ -301,7 +295,7 @@ def reduce_matrix(matrix: ExponentMatrix) -> ExponentMatrix:
     least: dict[tuple[int, int], int] = {}
     for shape, v in zip(shapes, values):
         least[shape] = min(v, least.get(shape, v))
-    return _matrix(curve, tuple(v - least[shape] for shape, v in zip(shapes, values)))
+    return ExponentMatrix._make(curve, tuple(v - least[shape] for shape, v in zip(shapes, values)))
 
 
 def evaluate(matrix: ExponentMatrix, mode: EvalMode = EvalMode.EXACT_RATIONAL):

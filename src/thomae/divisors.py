@@ -122,13 +122,6 @@ class LeveledDivisor(_Value):
             raise DivisorError(f"levels must lie in 0..{n - 1}: {levels}")
         super().__init__(curve, levels, kind)
 
-    @classmethod
-    def _unchecked(cls, curve: CurveSpec, levels: tuple[int, ...], kind: DivisorKind):
-        """A divisor whose levels are known to be integers in 0..n-1."""
-        out = object.__new__(cls)
-        out.__dict__.update(curve=curve, levels=levels, kind=kind)
-        return out
-
     @property
     def exponents(self) -> tuple[int, ...]:
         n = self.curve.n
@@ -236,7 +229,7 @@ def expand_matrix(matrix: CardinalityMatrix, spec: CurveSpec) -> Iterator[Levele
 
     def walk(i: int) -> Iterator[LeveledDivisor]:
         if i == len(levels):
-            yield LeveledDivisor._unchecked(spec, tuple(levels), matrix.kind)
+            yield LeveledDivisor._make(spec, tuple(levels), matrix.kind)
             return
         row = room[spec.alphas[i]]
         for level, left in enumerate(row):
@@ -257,7 +250,7 @@ def enumerate_divisors(
     ``kind.avoided_level``.  Raises DivisorError past ``STATE_BUDGET`` stored
     level tuples."""
     for levels in _list_assignments(_require_curve(spec), kind, _allowed(spec, kind, avoid)):
-        yield LeveledDivisor._unchecked(spec, levels, kind)
+        yield LeveledDivisor._make(spec, levels, kind)
 
 
 def _brute_force_levels(spec: CurveSpec) -> dict[DivisorKind, list[tuple[int, ...]]]:

@@ -36,7 +36,7 @@ def _check_coprime(n: int, d: int) -> None:
 
 
 class FFunctionTable(_Value):
-    """Values of f^(n)_d on {0..n-1} together with c^(n)_d = max f."""
+    """Values of f^(n)_d on {0..n-1} and c^(n)_d = max f, symmetric under d -> d^-1 mod n."""
 
     _fields = ("n", "d", "values", "cmax")
 
@@ -55,6 +55,8 @@ class FFunctionTable(_Value):
         super().__init__(n, d, values, max(values))
 
     def __getitem__(self, l: int) -> int:
+        if not is_int(l):  # True would read index 1
+            raise FFunctionError(f"l = {l!r} is not an integer")
         return self.values[l % self.n]
 
 
@@ -144,8 +146,3 @@ def f_closed_form(n: int, d: int, l: int) -> int:
         raise ClosedFormUnavailable(
             f"no closed form for (n, d, l) = ({n}, {d}, {l})"
         ) from None
-
-
-def c_constant(n: int, d: int) -> int:
-    """c^(n)_d = max_l f^(n)_d(l); symmetric under d -> inverse of d mod n."""
-    return f_chain(n, d).cmax

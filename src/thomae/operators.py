@@ -112,7 +112,7 @@ def _group(t: _Tables, levels: tuple, g: "GroupElement") -> tuple:
 
 
 def _image(xi: LeveledDivisor, levels: tuple) -> LeveledDivisor:
-    return LeveledDivisor._unchecked(xi.curve, levels, xi.kind)
+    return LeveledDivisor._make(xi.curve, levels, xi.kind)
 
 
 def _require_xi(xi: LeveledDivisor) -> None:
@@ -212,6 +212,8 @@ class GroupElement(_Value):
     def __init__(self, n: int, shift: int, reflect: bool):
         if not (is_int(n) and is_int(shift)) or n < 2:
             raise DivisorError(f"need an integer n >= 2 and shift, got {n!r}, {shift!r}")
+        if not isinstance(reflect, bool):  # compose reads it with !=
+            raise DivisorError(f"reflect must be a bool, got {reflect!r}")
         super().__init__(n, shift % n, reflect)
 
     @classmethod

@@ -27,7 +27,7 @@ from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .curve import CurveSpec, _Value
-from .denominators import (EvalMode, _g, _h, _matrix, _q, _shift, _slot_walk, degree,
+from .denominators import (EvalMode, ExponentMatrix, _g, _h, _q, _shift, _slot_walk, degree,
                            evaluate, full_denominator)
 from .divisors import (
     DivisorError,
@@ -115,7 +115,7 @@ def _nonspecial_equivalence(run: _Run) -> Iterator[str]:
         if not 0 <= last < n:
             continue
         levels = head + (last,)
-        div = LeveledDivisor._unchecked(spec, levels, DivisorKind.DELTA)
+        div = LeveledDivisor._make(spec, levels, DivisorKind.DELTA)
         if (specialty_index(div) == 0) != satisfies_conditions(div):
             yield f"levels={levels}: index {specialty_index(div)} vs conditions"
 
@@ -165,7 +165,7 @@ def _denominators(run: _Run) -> Iterator[str]:
     degrees = set()
     for levels in run.xis:
         h = hs(levels)
-        degrees.add(degree(_matrix(spec, h)))
+        degrees.add(degree(ExponentMatrix._make(spec, h)))
         slots = sorted(set(zip(spec.alphas, levels)), reverse=True)
         if _slot_walk(spec, levels, slots)._values != h:
             yield f"assembly order changes h at {levels}"
@@ -202,17 +202,17 @@ def _evaluation(run: _Run) -> Iterator[str]:
     for trial in range(20):
         lams = _distinct_rationals(rng, spec.point_count)
         cur = spec.with_lambdas(lams)
-        div = LeveledDivisor._unchecked(cur, levels, DivisorKind.XI)
+        div = LeveledDivisor._make(cur, levels, DivisorKind.XI)
         h = full_denominator(div)
         base = evaluate(h, EvalMode.EXACT_RATIONAL)
         shiftc = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         shifted = cur.with_lambdas([v + shiftc for v in lams])
-        hs = full_denominator(LeveledDivisor._unchecked(shifted, levels, DivisorKind.XI))
+        hs = full_denominator(LeveledDivisor._make(shifted, levels, DivisorKind.XI))
         if evaluate(hs, EvalMode.EXACT_RATIONAL) != base:
             yield f"translation changed the value (trial {trial})"
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = cur.with_lambdas([v * scale for v in lams])
-        hsc = full_denominator(LeveledDivisor._unchecked(scaled, levels, DivisorKind.XI))
+        hsc = full_denominator(LeveledDivisor._make(scaled, levels, DivisorKind.XI))
         if evaluate(hsc, EvalMode.EXACT_RATIONAL) != base * scale ** degree(h):
             yield f"scaling law fails (trial {trial})"
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from thomae import (
     ClosedFormUnavailable,
-    c_constant,
     f_chain,
     f_closed_form,
     f_recursive,
@@ -162,28 +161,28 @@ def test_remainder_shift_identities():
 def test_c_constant_closed_forms():
     for n in range(2, 61):
         expected = n * n // 4 if n % 2 == 0 else (n * n - 1) // 4
-        assert c_constant(n, 1) == expected
-        assert c_constant(n, n - 1) == n - 1
+        assert f_chain(n, 1).cmax == expected
+        assert f_chain(n, n - 1).cmax == n - 1
     for n in range(3, 61, 2):
         expected = (n * n + 2 * n - 3) // 8 if n % 4 == 1 else (n * n + 2 * n + 1) // 8
-        assert c_constant(n, 2) == expected
-        assert c_constant(n, n - 2) == n - 1
+        assert f_chain(n, 2).cmax == expected
+        assert f_chain(n, n - 2).cmax == n - 1
     for n in range(4, 61):
         if n % 3 == 0:
             continue
         t = n % 3
         if t == 1:
             expected = (n * n + 4 * n + 4) // 12 if n % 2 == 0 else (n * n + 4 * n - 5) // 12
-            assert c_constant(n, n - 3) == n - 1 + (n - 1) // 3
+            assert f_chain(n, n - 3).cmax == n - 1 + (n - 1) // 3
         else:
             expected = (n * n + 4 * n + 3) // 12 if n % 2 else (n * n + 4 * n) // 12
-            assert c_constant(n, n - 3) == n - 1
-        assert c_constant(n, 3) == expected
+            assert f_chain(n, n - 3).cmax == n - 1
+        assert f_chain(n, 3).cmax == expected
 
 
 def test_c_constant_inverse_symmetry():
     for n, d in coprime_pairs(40):
-        assert c_constant(n, d) == c_constant(n, k_inverse(d, n))
+        assert f_chain(n, d).cmax == f_chain(n, k_inverse(d, n)).cmax
 
 
 @settings(max_examples=200)
@@ -211,12 +210,11 @@ def test_tables_are_cached():
         lambda: f_recursive(7, True),
         lambda: f_closed_form(7.0, 2, 1),
         lambda: f_closed_form(7, 1, 1.0),
-        lambda: c_constant(7.0, 2),
         lambda: FFunctionTable(7.0, 1, f_chain(7, 1).values),
         lambda: FFunctionTable(7, True, f_chain(7, 1).values),
     ],
     ids=["float_n", "float_d", "bool_d", "str_n", "recursive_float_n", "recursive_bool_d",
-         "closed_float_n", "closed_float_l", "constant_float_n", "table_float_n", "table_bool_d"],
+         "closed_float_n", "closed_float_l", "table_float_n", "table_bool_d"],
 )
 def test_non_integer_arguments_are_refused(call):
     """Refused with FFunctionError before any cache is read, so also once the

@@ -6,7 +6,8 @@ group elements in any position.  A parameter whose name says what it takes
 (``curve``, ``xi``, ``matrix``, ``n``, ``beta``, ...) is given a valid value of
 that sort half the time, so that a call gets past its first gate and reaches
 the next.  ``load_curve`` may also raise the OSError of a path that cannot be
-read; ``main`` turns both into one ``error:`` line."""
+read; ``main`` turns both into one ``error:`` line.  The public methods of the
+records the package returns are called the same way."""
 
 import inspect
 import itertools
@@ -29,6 +30,8 @@ from thomae import (
     LeveledDivisor,
     ReachabilityPreconditionError,
     ThomaeError,
+    build_graph,
+    count_family,
     f_chain,
     full_denominator,
 )
@@ -46,12 +49,13 @@ MATRICES = [full_denominator(XI), full_denominator(EXACT_XI)]
 # parameter name -> the valid values drawn there most often
 TYPED = {
     **dict.fromkeys(["curve", "spec"], CURVES),
-    **dict.fromkeys(["xi", "upsilon", "divisor"], DIVISORS),
+    **dict.fromkeys(["xi", "upsilon", "divisor", "source", "target"], DIVISORS),
     **dict.fromkeys(["matrix", "a", "b"], MATRICES),
     "kind": list(DivisorKind),
     "mode": list(EvalMode),
     "family": [FamilySpec((1, 1, 1), (1, 1, 1))],
     "g": [GroupElement(5, 2, True), GroupElement(3, 1, False)],
+    "other": [*MATRICES, GroupElement(5, 2, True), GroupElement(3, 1, False)],
     "table": [f_chain(5, 2)],
     "n": [0, 1, 2, 5],  # the edges of the moduli, and the curves' own
     **dict.fromkeys(["alpha", "beta", "gamma", "d"], [-1, 1, 2]),
@@ -103,13 +107,34 @@ def argument(name: str):
     return st.one_of(st.sampled_from(TYPED[name]), VALUES) if name in TYPED else VALUES
 
 
-@pytest.mark.parametrize("name", FUZZED)
+(FAMILY,), (ELEMENT, _), (TABLE,) = TYPED["family"], TYPED["g"], TYPED["table"]
+GRAPH = build_graph(CURVE)
+# "Class.method" -> the method, bound to a record of that class that the package built
+METHODS = {
+    "CurveSpec.r": CURVE.r,
+    "CurveSpec.with_lambdas": CURVE.with_lambdas,
+    "CurveSpec.genus": CURVE.genus,
+    "FFunctionTable.__getitem__": TABLE.__getitem__,
+    "GroupElement.compose": ELEMENT.compose,
+    "GroupElement.inverse": ELEMENT.inverse,
+    "GroupElement.negation": GroupElement.negation,
+    "ExponentMatrix.__add__": MATRICES[0].__add__,
+    "ExponentMatrix.items": MATRICES[0].items,
+    "OrbitGraph.witness": GRAPH.witness,
+    "OrbitGraph.component_sizes": GRAPH.component_sizes,
+    "FamilySpec.curve": FAMILY.curve,
+    "DivisorKind.avoided_level": DivisorKind.XI.avoided_level,
+    "CountReport.valid_counts": count_family(FAMILY, [2, 3, 4, 5]).valid_counts,
+}
+
+
+@pytest.mark.parametrize("name", [*FUZZED, *METHODS])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_public_name_gives_a_result_or_a_thomae_error(name, data):
     """Each optional argument is given or left out on its own; a generator is
     run for a few items, since it may check its arguments on the first."""
-    function = getattr(thomae, name)
+    function = METHODS[name] if name in METHODS else getattr(thomae, name)
     required, optional = parameters(function)
     args = [data.draw(argument(key), label=key) for key in required]
     named = {key: data.draw(argument(key), label=key) for key in optional

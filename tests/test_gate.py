@@ -5,7 +5,8 @@ but a CurveSpec, one that takes a divisor, a denominator matrix, a group element
 a divisor kind or a family anything but a LeveledDivisor, an ExponentMatrix, a
 GroupElement, a DivisorKind or a FamilySpec, one that takes an f-function table
 anything but an FFunctionTable, and exponent lists refuse what is not a sequence
-of integers."""
+of integers.  A curve's class count and a table's index refuse what is not an
+integer, and a group element a reflect that is not a bool."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,7 +59,7 @@ from thomae import (
 from thomae import build_graph, orbits, run_suite, verify
 from thomae.curve import is_int
 from thomae.divisors import CardinalityMatrix, expand_matrix
-from thomae.ffunctions import FFunctionError, FFunctionTable
+from thomae.ffunctions import FFunctionError, FFunctionTable, f_chain
 
 CURVE = CurveSpec.from_alphas(5, [1, 1, 1, 2])
 XI = LeveledDivisor(CURVE, (0, 0, 2, 1), DivisorKind.XI)  # point 0 at level 0
@@ -417,7 +418,8 @@ def test_vertex_caps_are_checked_on_the_exact_count_before_any_listing(monkeypat
     assert run_suite(CURVE, ["operators"], max_vertices=30) == (["operators"], [])
 
 
-# name -> (a call that ended in a bare exception, its refusal, the words of the refusal)
+# name -> (a call that ended in a bare exception or a wrong result, its refusal, the
+# words of the refusal)
 OFF_DOMAIN = {
     "k_inverse-mod-0": (lambda: k_inverse(1, 0), CurveError,
                         "^1 is not an invertible integer mod 0$"),
@@ -434,6 +436,18 @@ OFF_DOMAIN = {
                             "^seed must be an integer, got None$"),
     "run_suite-unhashable-check": (lambda: run_suite(CURVE, [[1]]), DivisorError,
                                    r"^unknown check \[1\]$"),
+    "r-list": (lambda: CURVE.r([1]), CurveError, r"^alpha must be an integer, got \[1\]$"),
+    "r-float": (lambda: CURVE.r(1.0), CurveError, "^alpha must be an integer, got 1.0$"),
+    "r-bool": (lambda: CURVE.r(True), CurveError, "^alpha must be an integer, got True$"),
+    "table-str": (lambda: f_chain(5, 2)["x"], FFunctionError, "^l = 'x' is not an integer$"),
+    "table-float": (lambda: f_chain(5, 2)[1.5], FFunctionError, "^l = 1.5 is not an integer$"),
+    "table-none": (lambda: f_chain(5, 2)[None], FFunctionError, "^l = None is not an integer$"),
+    "table-bool": (lambda: f_chain(5, 2)[True], FFunctionError, "^l = True is not an integer$"),
+    "reflect-str": (lambda: GroupElement(5, 0, "yes"), DivisorError,
+                    "^reflect must be a bool, got 'yes'$"),
+    "reflect-none": (lambda: GroupElement(5, 0, None), DivisorError,
+                     "^reflect must be a bool, got None$"),
+    "reflect-int": (lambda: GroupElement(5, 0, 1), DivisorError, "^reflect must be a bool, got 1$"),
 }
 
 
@@ -441,7 +455,11 @@ OFF_DOMAIN = {
 def test_calls_off_the_domain_are_refused(name):
     """No ValueError from pow() with modulus 0 or from a path with a NUL byte, no
     TypeError from seeding random with a list or hashing a list, and no float or
-    None seed, which random takes but ``verify`` cannot reproduce from its report."""
+    None seed, which random takes but ``verify`` cannot reproduce from its report.
+    No TypeError from counting a class or reading a table at what is not an
+    integer, nor the count of class 1 or the value at 1 for True; and no group
+    element whose reflect is not a bool, which ``compose`` would compare with !=
+    (N composed with itself came out a reflection for "yes" and True)."""
     call, error, words = OFF_DOMAIN[name]
     with pytest.raises(error, match=words):
         call()

@@ -72,6 +72,16 @@ def test_asdict_gives_the_fields_in_declaration_order(cls):
     assert list(cls(*args)._asdict().items()) == list(zip(fields, args))
 
 
+def test_make_binds_every_field_as_the_constructor_does():
+    """``_make`` takes the field values in order and checks nothing; the record it
+    builds equals, hashes and shows like the constructor's."""
+    records = [cls(*args) for cls, (_, args, _) in RECORDS.items()] + [_h()]
+    for one in records:
+        made = type(one)._make(*(getattr(one, f) for f in one._fields))
+        assert type(made) is type(one) and made == one and hash(made) == hash(one)
+        assert repr(made) == repr(one)
+
+
 # the records whose fields are bound by the base alone, with no __init__ of their own
 UNCHECKED = [CurveSpec, Edge, OrbitGraph, CountReport, Finding, _Run]
 
