@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from functools import cached_property
 from math import gcd
 from operator import attrgetter
@@ -116,7 +117,7 @@ class CurveSpec(_Value):
 
     @classmethod
     def from_alphas(cls, n: int, alphas: Sequence[int]) -> "CurveSpec":
-        return cls(n, tuple(map(BranchPoint, _sequence("alphas", alphas))))
+        return cls(n, tuple(map(BranchPoint, _require_sequence("alphas", alphas))))
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
@@ -223,18 +224,25 @@ class CurveSpec(_Value):
 
     def with_lambdas(self, lambdas: Sequence[Fraction]) -> "CurveSpec":
         """The curve with one exact z-value per point (see ``_parse_exact``)."""
-        lams = [_parse_exact(v) for v in _sequence("z-values", lambdas)]
+        lams = [_parse_exact(v) for v in _require_sequence("z-values", lambdas)]
         if len(lams) != self.point_count:
             raise CurveError(f"{len(lams)} z-values for {self.point_count} points")
         pts = (BranchPoint(p.alpha, p.label, lam) for p, lam in zip(self.points, lams))
         return CurveSpec(self.n, tuple(pts))
 
 
-def _sequence(what: str, values) -> tuple:
+def _require_type(value, cls, claim: str, error: type[ThomaeError]):
+    """``value`` when it is a ``cls``; otherwise raises ``error("<claim>, got <value!r>")``."""
+    if not isinstance(value, cls):
+        raise error(f"{claim}, got {value!r}")
+    return value
+
+
+def _require_sequence(what: str, values, error: type[ThomaeError] = CurveError) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise CurveError(f"{what} must be a sequence, got {values!r}") from None
+        raise error(f"{what} must be a sequence, got {values!r}") from None
 
 
 def _parse_exact(value) -> Fraction:
@@ -248,6 +256,12 @@ def _parse_exact(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction builds 10 ** exponent, seconds of work for an exponent in the millions;
+        # the bound is the one json.loads puts on an integer literal's digits
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        if limit and _exponent_past(value, limit):
+            raise CurveError(f"cannot parse {value!r} as an exact rational: "
+                             f"its exponent passes {limit}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -257,6 +271,15 @@ def _parse_exact(value) -> Fraction:
             f"refusing float z-value {value!r}; pass a string like \"7/3\" or \"0.25\""
         )
     raise CurveError(f"cannot parse {value!r} as an exact rational")
+
+
+def _exponent_past(text: str, limit: int) -> bool:
+    """Whether ``text`` is written with an exponent, as "1e5000" is, whose
+    absolute value passes ``limit``."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return bool(e) and digits.isdecimal() and (
+        len(digits) > len(str(limit)) or int(digits) > limit)
 
 
 def is_int(value) -> bool:
@@ -292,8 +315,7 @@ def read_document(path: str) -> tuple[object, str]:
     recurses too deep on, are refused with the path.  A ``path`` that is not a str or
     an ``os.PathLike`` is refused before anything is opened: ``open`` would take an
     int for a file descriptor and close it."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise CurveError(f"path must be a str or an os.PathLike, got {path!r}")
+    _require_type(path, (str, os.PathLike), "path must be a str or an os.PathLike", CurveError)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

@@ -48,7 +48,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Optional
 
-from .curve import CurveSpec, _Value, e_factor, is_int, k_inverse
+from .curve import CurveSpec, _Value, _require_type, e_factor, is_int, k_inverse
 from .divisors import DivisorError, LeveledDivisor, _require_curve, _require_int, _require_points
 from .ffunctions import f_chain
 from .operators import _negate, _require_swap_pair, _require_xi, _tables
@@ -74,8 +74,8 @@ class ExponentMatrix(_Value):
         """Entries keyed by point pairs in either order; each unordered pair of
         two distinct points of the curve may be given once."""
         p = _require_curve(curve).point_count
-        if entries is not None and not isinstance(entries, Mapping):
-            raise DivisorError(f"entries must be a Mapping, got {entries!r}")
+        if entries is not None:
+            _require_type(entries, Mapping, "entries must be a Mapping", DivisorError)
         values = [0] * len(_pairs(p))
         seen: set[tuple[int, int]] = set()
         for pair, v in (entries or {}).items():
@@ -119,9 +119,7 @@ class ExponentMatrix(_Value):
 
 
 def _require_matrix(matrix) -> ExponentMatrix:
-    if not isinstance(matrix, ExponentMatrix):
-        raise DivisorError(f"matrix must be an ExponentMatrix, got {matrix!r}")
-    return matrix
+    return _require_type(matrix, ExponentMatrix, "matrix must be an ExponentMatrix", DivisorError)
 
 
 def matrix_quotient(a: ExponentMatrix, b: ExponentMatrix) -> ExponentMatrix:

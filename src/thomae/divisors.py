@@ -29,7 +29,7 @@ from functools import reduce
 from operator import add, getitem, lt, sub
 from typing import Iterator, Optional
 
-from .curve import CurveSpec, ThomaeError, _Value, is_int
+from .curve import CurveSpec, ThomaeError, _Value, _require_sequence, _require_type, is_int
 
 
 class DivisorError(ThomaeError):
@@ -56,32 +56,20 @@ def _require_vertices(spec: CurveSpec, max_vertices: int) -> None:
 
 
 def _require_curve(curve) -> CurveSpec:
-    if not isinstance(curve, CurveSpec):
-        raise DivisorError(f"curve must be a CurveSpec, got {curve!r}")
-    return curve
+    return _require_type(curve, CurveSpec, "curve must be a CurveSpec", DivisorError)
 
 
 def _require_divisor(divisor) -> "LeveledDivisor":
-    if not isinstance(divisor, LeveledDivisor):
-        raise DivisorError(f"divisor must be a LeveledDivisor, got {divisor!r}")
-    return divisor
+    return _require_type(divisor, LeveledDivisor, "divisor must be a LeveledDivisor", DivisorError)
 
 
 def _require_kind(kind) -> None:
-    if not isinstance(kind, DivisorKind):
-        raise DivisorError(f"kind must be a DivisorKind, got {kind!r}")
-
-
-def _require_sequence(what: str, values) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        raise DivisorError(f"{what} must be a sequence, got {values!r}") from None
+    _require_type(kind, DivisorKind, "kind must be a DivisorKind", DivisorError)
 
 
 def _require_ints(what: str, values) -> tuple:
     """``values`` as a tuple, once each of them is known to be an integer."""
-    values = _require_sequence(what, values)
+    values = _require_sequence(what, values, DivisorError)
     if not all(map(is_int, values)):
         raise DivisorError(f"{what} must be integers: {values}")
     return values

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .curve import ThomaeError, _Value, is_int
+from .curve import ThomaeError, _Value, _require_type, is_int
 
 
 class FFunctionError(ThomaeError):
@@ -100,9 +100,7 @@ def f_recursive(n: int, d: int) -> FFunctionTable:
 
 def f_sign_flip(table: FFunctionTable) -> FFunctionTable:
     """Table for (n, n-d) from the table for (n, d): pointwise 2l - f(l)."""
-    if not isinstance(table, FFunctionTable):
-        raise FFunctionError(f"table must be an FFunctionTable, got {table!r}")
-    n = table.n
+    n = _require_type(table, FFunctionTable, "table must be an FFunctionTable", FFunctionError).n
     return FFunctionTable(n, n - table.d, tuple(2 * l - v for l, v in enumerate(table.values)))
 
 

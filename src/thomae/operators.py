@@ -17,7 +17,7 @@ from functools import cache
 from itertools import compress
 from operator import eq, getitem
 
-from .curve import _Value, is_int, k_inverse
+from .curve import _Value, _require_type, is_int, k_inverse
 from .divisors import (DivisorError, DivisorKind, LeveledDivisor, _require_divisor, _require_int,
                        _require_points)
 
@@ -212,8 +212,7 @@ class GroupElement(_Value):
     def __init__(self, n: int, shift: int, reflect: bool):
         if not (is_int(n) and is_int(shift)) or n < 2:
             raise DivisorError(f"need an integer n >= 2 and shift, got {n!r}, {shift!r}")
-        if not isinstance(reflect, bool):  # compose reads it with !=
-            raise DivisorError(f"reflect must be a bool, got {reflect!r}")
+        _require_type(reflect, bool, "reflect must be a bool", DivisorError)  # compose reads !=
         super().__init__(n, shift % n, reflect)
 
     @classmethod
@@ -237,9 +236,7 @@ class GroupElement(_Value):
 
 
 def _require_element(g) -> GroupElement:
-    if not isinstance(g, GroupElement):
-        raise DivisorError(f"group element must be a GroupElement, got {g!r}")
-    return g
+    return _require_type(g, GroupElement, "group element must be a GroupElement", DivisorError)
 
 
 def apply_group(xi: LeveledDivisor, g: GroupElement) -> LeveledDivisor:

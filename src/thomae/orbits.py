@@ -24,7 +24,8 @@ from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .curve import CurveError, CurveSpec, _Value, is_int, k_inverse
+from .curve import (CurveError, CurveSpec, _Value, _require_sequence, _require_type, is_int,
+                    k_inverse)
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -36,7 +37,6 @@ from .divisors import (
     _require_curve,
     _require_divisor,
     _require_int,
-    _require_sequence,
     _require_vertices,
     count_base_point_free,
     count_divisors,
@@ -317,10 +317,9 @@ def count_family(family: FamilySpec, n_values: Sequence[int], fit: bool = False)
     below the shifted ones, so the move maps those divisors one to one onto
     the degree-g divisors with point i at level n-1, which avoid point i.
     """
-    if not isinstance(family, FamilySpec):
-        raise DivisorError(f"family must be a FamilySpec, got {family!r}")
+    _require_type(family, FamilySpec, "family must be a FamilySpec", DivisorError)
     rows = []
-    for n in _require_sequence("n_values", n_values):
+    for n in _require_sequence("n_values", n_values, DivisorError):
         spec = family.curve(n)
         if spec is None:
             rows.append(FamilyCount(n, True, 0, 0, 0, 0, ()))

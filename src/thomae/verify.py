@@ -11,10 +11,11 @@ this as the ``verify`` command and turns findings into exit status 2.
 The shifted divisors are listed once per run, as level tuples (``_Run.xis``),
 once their exact count is within the cap.  The checks call the integer
 kernels of ``operators`` and ``denominators`` on them, the slot-walk oracle
-among them.  Two checks build ``LeveledDivisor``s, unchecked: the non-special
-equivalence check one per degree-g level tuple it walks, for the public
-specialty index and condition test, and the evaluation check one per curve
-it evaluates h on.
+among them.  The non-special equivalence check builds one unchecked
+``LeveledDivisor`` per degree-g level tuple it walks, for the public specialty
+index and condition test.  The evaluation check builds h's exponents once,
+from the first shifted divisor, and evaluates them on every curve of z-values
+it draws: the exponents do not depend on the z-values.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from functools import cache, cached_property, partial
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
-from .curve import CurveSpec, _Value
+from .curve import CurveSpec, _Value, _require_sequence
 from .denominators import (EvalMode, ExponentMatrix, _g, _h, _q, _shift, _slot_walk, degree,
-                           evaluate, full_denominator)
+                           evaluate)
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -40,7 +41,6 @@ from .divisors import (
     _require_cap,
     _require_curve,
     _require_int,
-    _require_sequence,
     _require_vertices,
     satisfies_conditions,
     specialty_index,
@@ -198,22 +198,20 @@ def _evaluation(run: _Run) -> Iterator[str]:
     rng = random.Random(run.seed)
     if not run.xis:
         return
-    levels = run.xis[0]
+    h = _h(spec, run.xis[0])  # h's exponents do not depend on the z-values
+    h_degree = degree(ExponentMatrix._make(spec, h))
+
+    def value(lams: list[Fraction]) -> Fraction:
+        return evaluate(ExponentMatrix._make(spec.with_lambdas(lams), h), EvalMode.EXACT_RATIONAL)
+
     for trial in range(20):
         lams = _distinct_rationals(rng, spec.point_count)
-        cur = spec.with_lambdas(lams)
-        div = LeveledDivisor._make(cur, levels, DivisorKind.XI)
-        h = full_denominator(div)
-        base = evaluate(h, EvalMode.EXACT_RATIONAL)
+        base = value(lams)
         shiftc = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        shifted = cur.with_lambdas([v + shiftc for v in lams])
-        hs = full_denominator(LeveledDivisor._make(shifted, levels, DivisorKind.XI))
-        if evaluate(hs, EvalMode.EXACT_RATIONAL) != base:
+        if value([v + shiftc for v in lams]) != base:
             yield f"translation changed the value (trial {trial})"
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = cur.with_lambdas([v * scale for v in lams])
-        hsc = full_denominator(LeveledDivisor._make(scaled, levels, DivisorKind.XI))
-        if evaluate(hsc, EvalMode.EXACT_RATIONAL) != base * scale ** degree(h):
+        if value([v * scale for v in lams]) != base * scale ** h_degree:
             yield f"scaling law fails (trial {trial})"
 
 
@@ -246,7 +244,7 @@ def run_suite(
     _require_curve(spec)
     _require_cap("max_vertices", max_vertices)
     _require_int("seed", seed)
-    names = list(_CHECKS) if checks is None else list(_require_sequence("checks", checks))
+    names = list(_CHECKS if checks is None else _require_sequence("checks", checks, DivisorError))
     unknown = [name for name in names if not isinstance(name, str) or name not in _CHECKS]
     if unknown:
         raise DivisorError(f"unknown check {unknown[0]!r}")

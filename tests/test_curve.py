@@ -1,4 +1,5 @@
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,14 @@ def test_library_z_values_are_read_like_the_document():
     assert spec.with_lambdas(["-1", 2, Fraction(3), "4"]).lambdas == (-1, 2, 3, 4)
     built = with_points(5, (1, 0), (1, Fraction(7, 3)), (1, Fraction(1, 4)), (2, Fraction(1, 10)))
     assert built == spec  # a curve built directly takes ints and Fractions
+
+
+def test_z_value_exponents_up_to_the_digit_limit_are_read():
+    """The exponent bound refuses only an exponent past the limit on an integer's digits."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    lambdas = [f"1e{limit}", f"-2E-0{limit}", "3e0", "0"]
+    spec = CurveSpec.from_alphas(5, [1, 1, 1, 2]).with_lambdas(lambdas)
+    assert spec.lambdas == (10 ** limit, Fraction(-2, 10 ** limit), 3, 0)
 
 
 @pytest.mark.parametrize(

@@ -448,6 +448,10 @@ OFF_DOMAIN = {
     "reflect-none": (lambda: GroupElement(5, 0, None), DivisorError,
                      "^reflect must be a bool, got None$"),
     "reflect-int": (lambda: GroupElement(5, 0, 1), DivisorError, "^reflect must be a bool, got 1$"),
+    "z-value-huge-exponent": (lambda: CURVE.with_lambdas(["1e5000", "0", "1", "2"]), CurveError,
+                              "^cannot parse '1e5000' as an exact rational: its exponent passes"),
+    "z-value-huge-negative-exponent": (lambda: CURVE.with_lambdas(["0", "-1E-5_000", "1", "2"]),
+                                       CurveError, "^cannot parse '-1E-5_000' as an exact "),
 }
 
 
@@ -459,7 +463,9 @@ def test_calls_off_the_domain_are_refused(name):
     No TypeError from counting a class or reading a table at what is not an
     integer, nor the count of class 1 or the value at 1 for True; and no group
     element whose reflect is not a bool, which ``compose`` would compare with !=
-    (N composed with itself came out a reflection for "yes" and True)."""
+    (N composed with itself came out a reflection for "yes" and True).  A z-value
+    whose exponent passes the limit on an integer's digits is refused before
+    ``Fraction`` spends seconds on 10 ** exponent."""
     call, error, words = OFF_DOMAIN[name]
     with pytest.raises(error, match=words):
         call()
