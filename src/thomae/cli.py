@@ -26,6 +26,7 @@ from . import __version__
 
 VALIDATION_ERROR = 1
 INVARIANT_VIOLATION = 2
+FTABLE_MAX_N = 100_000  # ftable refuses a larger n: its time and memory grow with n
 
 
 def _emit(report: dict, fmt: str, csv_rows) -> None:
@@ -149,8 +150,10 @@ def _cmd_apply(args, curve, divisor):
 
 
 def _cmd_ftable(args):
-    from .ffunctions import f_chain
+    from .ffunctions import FFunctionError, f_chain
 
+    if args.n > FTABLE_MAX_N:
+        raise FFunctionError(f"n = {args.n} is above the ftable cap {FTABLE_MAX_N}")
     table = f_chain(args.n, args.d)
     fields = {"n": table.n, "d": table.d, "values": list(table.values), "c": table.cmax}
     chain = ";".join(f"{l},{v}" for l, v in enumerate(table.values))

@@ -34,7 +34,10 @@ None of g, q, h is itself unchanged by an admissible base-pointed swap; all
 three move by the same matrix, returned by ``theta_relation_shift``, so the
 differences h - g and g - q are exact swap invariants.  Each of h, g, q and
 the shift is a private kernel from a level tuple to a dense tuple in (i < j)
-pair order; the public functions wrap it, and ``verify`` compares tuples.
+pair order, and the public functions wrap it.  Every entry reads only the
+levels of its own two points, so ``_PairTables`` tabulates each rule per point
+pair for ``verify``, which reads the tables over level columns, and through
+an operator's per-point level maps for the denominators of its images.
 """
 
 from __future__ import annotations
@@ -170,19 +173,23 @@ def _pair_rows(p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _walked(n: int, s: int, t: int) -> int:
+    """The exponent of the slot pair {s, t} walked from the lower slot id, as h walks it."""
+    return _slot_pair_exponent(n, s, t) if s <= t else _slot_pair_exponent(n, t, s)
+
+
 def _h(curve: CurveSpec, levels: tuple[int, ...]) -> tuple[int, ...]:
     n = curve.n
     return tuple(
-        _slot_pair_exponent(n, s, t) if s <= t else _slot_pair_exponent(n, t, s)
-        for s, t in itertools.combinations(map(add, curve.slot_bases, levels), 2)
+        _walked(n, s, t) for s, t in itertools.combinations(map(add, curve.slot_bases, levels), 2)
     )
 
 
 def _slot_walk(curve: CurveSpec, levels: tuple[int, ...], slots: list) -> ExponentMatrix:
     """h of ``levels`` with each point pair's slot pair walked from the slot
     earlier in ``slots``, which must list exactly the nonempty (class, level)
-    slots; the order-independence oracle, which ``verify`` and the tests run
-    on a reversed order."""
+    slots; the order-independence oracle, which the tests run in shuffled and
+    reversed orders, the last against ``verify``'s reversed-walk tables."""
     n = curve.n
     if sorted(slots) != sorted(set(zip(curve.alphas, levels))):
         raise DivisorError("slot order must enumerate exactly the nonempty slots")
@@ -194,14 +201,15 @@ def _slot_walk(curve: CurveSpec, levels: tuple[int, ...], slots: list) -> Expone
 
 
 def _two_blocks(
-    curve: CurveSpec, a: tuple[int, ...], classes: tuple[int, ...], q_id: Optional[int] = None
+    top: int, alphas: tuple, a: tuple[int, ...], classes: tuple, q_id: Optional[int] = None
 ) -> tuple[int, ...]:
-    """The two-block dense tuple whose leads are the points of ``classes`` at
-    a = n-1 (upper) and at a = 0 (lower), with the base point ``q_id``, when
-    given, adjoined to the lower leads.  Only the leads' rows are written."""
-    top, p = curve.n - 1, curve.point_count
+    """The two-block dense tuple over points of classes ``alphas`` at N_beta's
+    levels ``a``, whose leads are the points of ``classes`` at a = top (upper)
+    and at a = 0 (lower), with the base point ``q_id``, when given, adjoined
+    to the lower leads.  Only the leads' rows are written."""
+    p = len(a)
     rows, out = _pair_rows(p), [0] * (len(_pairs(p)) + 1)
-    for i, (alpha, v) in enumerate(zip(curve.alphas, a)):
+    for i, (alpha, v) in enumerate(zip(alphas, a)):
         if i == q_id or v == 0 and alpha in classes:
             for k, w in zip(rows[i], a):
                 out[k] = top - w
@@ -213,12 +221,13 @@ def _two_blocks(
 
 
 def _g(curve: CurveSpec, levels: tuple[int, ...], beta: int) -> tuple[int, ...]:
-    return _two_blocks(curve, _negate(_tables(curve.n, curve.alphas), levels, beta), curve.classes)
+    a = _negate(_tables(curve.n, curve.alphas), levels, beta)
+    return _two_blocks(curve.n - 1, curve.alphas, a, curve.classes)
 
 
 def _q(curve: CurveSpec, levels: tuple[int, ...], q_id: int, gamma: int) -> tuple[int, ...]:
     a = _negate(_tables(curve.n, curve.alphas), levels, curve.alphas[q_id])
-    return _two_blocks(curve, a, (gamma,), q_id)
+    return _two_blocks(curve.n - 1, curve.alphas, a, (gamma,), q_id)
 
 
 def _shift(curve: CurveSpec, levels: tuple[int, ...], q_id: int, r_id: int) -> tuple[int, ...]:
@@ -232,6 +241,69 @@ def _shift(curve: CurveSpec, levels: tuple[int, ...], q_id: int, r_id: int) -> t
     out[rows[q_id][r_id]] = 0  # the pair {Q, R} itself does not move
     out.pop()
     return tuple(out)
+
+
+def _keys(n: int, columns: list) -> list[list[int]]:
+    """Per point pair (i, j), the key x * n + y of each row's levels x of i and y of j."""
+    scaled = [list(map(n.__mul__, c)) for c in columns]
+    return [list(map(add, scaled[i], columns[j])) for i, j in _pairs(len(columns))]
+
+
+def _read(tables: list, keys: list) -> list[list[int]]:
+    """Per point pair, its column of entries: its table read at its keys."""
+    return [list(map(t.__getitem__, k)) for t, k in zip(tables, keys)]
+
+
+class _PairTables:
+    """One curve's lookup tables, a list per rule with one table per point pair
+    (i, j), indexed by x * n + y for i at level x and j at level y."""
+
+    def __init__(self, curve: CurveSpec):
+        self.curve = curve
+        self._block = lru_cache(maxsize=None)(self._block)  # one per classes, beta and role
+        self._drift = lru_cache(maxsize=None)(self._drift)
+        self.h = self._slots(_walked)
+        # the reversed order of the slots walks each slot pair from the higher id
+        self.back = self._slots(lambda n, s, t: _slot_pair_exponent(n, max(s, t), min(s, t)))
+
+    def _slots(self, walk) -> list:
+        n = self.curve.n
+        return [tuple(walk(n, s, t) for s in range(s0, s0 + n) for t in range(t0, t0 + n))
+                for s0, t0 in itertools.combinations(self.curve.slot_bases, 2)]
+
+    def _block(self, beta: int, classes: tuple, a: int, b: int, role: Optional[int]) -> tuple:
+        curve = self.curve  # an entry reads only its own pair: _two_blocks on the pair alone
+        negations = dict(zip(curve.alphas, _tables(curve.n, curve.alphas).negations(beta)))
+        return tuple(_two_blocks(curve.n - 1, (a, b), (x, y), classes, role)[0]
+                     for x in negations[a] for y in negations[b])
+
+    def blocks(self, beta: int, classes: tuple, q_id: Optional[int] = None) -> list:
+        """g^beta's tables, or with a base point ``q_id`` of class beta q's."""
+        alphas = self.curve.alphas
+        return [self._block(beta, classes, alphas[i], alphas[j],
+                            (i, j).index(q_id) if q_id in (i, j) else None)
+                for i, j in _pairs(len(alphas))]
+
+    def drift(self, pair_tables: list, moves, shift: Optional[list] = None) -> list:
+        """Per point pair, its table read at the levels that ``moves``, a level
+        map per point, sends the pair's levels to, less its entry there and
+        ``shift``'s: all zero where the entries move by the shift (by 0 if none)."""
+        shift = shift or itertools.repeat((0,) * self.curve.n ** 2)
+        return [self._drift(table, moves[i], moves[j], by)
+                for (i, j), table, by in zip(_pairs(len(moves)), pair_tables, shift)]
+
+    def _drift(self, table: tuple, f: tuple, g: tuple, by: tuple) -> tuple:
+        n = self.curve.n
+        return tuple(table[f[x] * n + g[y]] - table[x * n + y] - by[x * n + y]
+                     for x in range(n) for y in range(n))
+
+    def shift(self, q_id: int, r_id: int) -> list:
+        """An entry reads only the level of the point paired with Q or R, so
+        ``_shift`` is read with every point at one level z, for each z."""
+        n, p = self.curve.n, self.curve.point_count
+        at = zip(*(_shift(self.curve, (z,) * p, q_id, r_id) for z in range(n)))
+        return [tuple(v for v in by_z for _ in range(n)) if j in (q_id, r_id) else by_z * n
+                for (i, j), by_z in zip(_pairs(p), at)]
 
 
 def pmt_denominator(xi: LeveledDivisor, beta: int) -> ExponentMatrix:

@@ -6,16 +6,17 @@ and return a new divisor; exponents are derived views, so the wrap-around
 at level 0 and level n-1 is ordinary arithmetic mod n.
 
 Each operator is a kernel from level tuple to level tuple over per-point
-level maps tabulated once per (n, alphas); ``verify`` and ``orbits`` call
-the kernels directly.  The public functions check their input, call a kernel
-and wrap its image unchecked, as every kernel reduces its levels mod n.
+level maps tabulated once per (n, alphas); ``orbits`` calls the kernels
+directly, and ``verify`` reads the same maps over level columns, one ``map``
+per point.  The public functions check their input, call a kernel and wrap
+its image unchecked, as every kernel reduces its levels mod n.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
-from operator import eq, getitem
+from itertools import compress, permutations, repeat
+from operator import eq, getitem, not_
 
 from .curve import _Value, _require_type, is_int, k_inverse
 from .divisors import (DivisorError, DivisorKind, LeveledDivisor, _require_divisor, _require_int,
@@ -50,12 +51,13 @@ class _Tables:
     """One curve's level maps: map[i][l] is point i's image at level l.
     rotations(k mod n) is M^k, negations(beta) is N_beta for any unit beta and
     reflections(beta) is T's b-reflection for a base point of class beta, each
-    built on first call; expected[q][j][r], built with the tables, is R's
-    partner level with Q at level j, -1 at Q."""
+    built on first call; up and down step a level by +1 and -1; expected[q][j][r],
+    built with the tables, is R's partner level with Q at level j, -1 at Q."""
 
     def __init__(self, n: int, alphas: tuple[int, ...]):
         self.n, self.alphas, self.points = n, alphas, range(len(alphas))
         self.flip = tuple(range(n - 1, -1, -1))
+        self.up, self.down = (tuple((l + step) % n for l in range(n)) for step in (1, -1))
         self.rotations = cache(lambda k: self._maps(lambda a, l: l - a * k))
         self.negations = cache(lambda b: self._maps(lambda a, l: a_value(b, a, l, n)))
         self.reflections = cache(lambda b: self._maps(lambda a, l: b_value(b, a, l, n)))
@@ -98,7 +100,7 @@ def _swap(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
 
 def _swap_hat(t: _Tables, levels: tuple, q: int, r: int) -> tuple:
     out = list(levels)
-    out[q], out[r] = (out[q] + 1) % t.n, (out[r] - 1) % t.n
+    out[q], out[r] = t.up[out[q]], t.down[out[r]]
     return tuple(out)
 
 
@@ -109,6 +111,37 @@ def _partners(t: _Tables, levels: tuple, q: int) -> tuple[int, ...]:
 def _group(t: _Tables, levels: tuple, g: "GroupElement") -> tuple:
     out = _reflect(t, levels) if g.reflect else levels
     return _rotate(t, out, g.shift) if g.shift else out
+
+
+def _columns(maps, columns: list) -> list[list[int]]:
+    """Each point's level column read through that point's level map."""
+    return [list(map(m.__getitem__, c)) for m, c in zip(maps, columns)]
+
+
+def _swap_columns(t: _Tables, columns: list, q: int, r: int) -> list:
+    return _swap_hat_columns(t, _columns(t.reflections(t.alphas[q]), columns), r, q)
+
+
+def _swap_hat_columns(t: _Tables, columns: list, q: int, r: int) -> list:
+    out = list(columns)
+    out[q], out[r] = _columns((t.up, t.down), (out[q], out[r]))
+    return out
+
+
+def _swap_rows(t: _Tables, columns: list) -> list[tuple[int, int, list, list]]:
+    """(q, r, the rows where R sits at Q's partner level, those of them with Q
+    at level 0) for every ordered pair of points: where T-hat and T apply."""
+    rows, out = range(len(columns[0])), []
+    for q, r in permutations(t.points, 2):
+        partner = tuple(expected[r] for expected in t.expected[q])
+        hat = list(compress(rows, map(eq, map(partner.__getitem__, columns[q]), columns[r])))
+        out.append((q, r, hat, list(compress(hat, map(not_, map(columns[q].__getitem__, hat))))))
+    return out
+
+
+def _group_columns(t: _Tables, columns: list, g: "GroupElement") -> list:
+    out = _columns(repeat(t.flip), columns) if g.reflect else columns
+    return _columns(t.rotations(g.shift), out) if g.shift else out
 
 
 def _image(xi: LeveledDivisor, levels: tuple) -> LeveledDivisor:

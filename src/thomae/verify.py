@@ -8,14 +8,23 @@ every reproducer with the name it looked the check up by.  The sweep never
 aborts early, so one run reports everything that is wrong.  The CLI exposes
 this as the ``verify`` command and turns findings into exit status 2.
 
-The shifted divisors are listed once per run, as level tuples (``_Run.xis``),
-once their exact count is within the cap.  The checks call the integer
-kernels of ``operators`` and ``denominators`` on them, the slot-walk oracle
-among them.  The non-special equivalence check builds one unchecked
-``LeveledDivisor`` per degree-g level tuple it walks, for the public specialty
-index and condition test.  The evaluation check builds h's exponents once,
-from the first shifted divisor, and evaluates them on every curve of z-values
-it draws: the exponents do not depend on the z-values.
+The shifted divisors are listed once per run (``_Run.xis``), once their
+exact count is within the cap, and transposed into one level column per point.
+The operator and denominator checks make every assertion of a row-by-row
+sweep on every row, in whole-column passes.  An operator's image is each
+column read through its point's level map, valid when its own levels pass
+``_meets``' packed-sum test.  h, the reversed slot walk, g, q and the swap
+shift are tables per point pair keyed by the pair's two levels
+(``denominators._PairTables``); as every operator moves each point alone, a
+denominator at an image is its table read through the operator's level maps.
+Each failing row is recorded with its place in a row-by-row sweep, and
+sorting the records gives the messages in that sweep's order.
+
+The non-special equivalence check builds one unchecked ``LeveledDivisor``
+per degree-g level tuple it walks, for the public specialty index and
+condition test.  The evaluation check builds h's exponents once, from the
+first shifted divisor, and evaluates them on every curve of z-values it
+draws: the exponents do not depend on the z-values.
 """
 
 from __future__ import annotations
@@ -23,13 +32,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from operator import sub
+from functools import cached_property, partial
+from operator import ne
 from typing import Iterable, Iterator, Optional
 
 from .curve import CurveSpec, _Value, _require_sequence
-from .denominators import (EvalMode, ExponentMatrix, _g, _h, _q, _shift, _slot_walk, degree,
-                           evaluate)
+from .denominators import EvalMode, ExponentMatrix, _h, _keys, _PairTables, _read, degree, evaluate
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -37,7 +45,6 @@ from .divisors import (
     _allowed,
     _brute_force_levels,
     _list_assignments,
-    _meets,
     _require_cap,
     _require_curve,
     _require_int,
@@ -47,12 +54,11 @@ from .divisors import (
 )
 from .operators import (
     GroupElement,
-    _group,
-    _negate,
-    _partners,
-    _rotate,
-    _swap,
-    _swap_hat,
+    _columns,
+    _group_columns,
+    _swap_rows,
+    _swap_columns,
+    _swap_hat_columns,
     _tables,
 )
 
@@ -75,6 +81,15 @@ class _Run(_Value):
         spec, xi = self.spec, DivisorKind.XI
         _require_vertices(spec, self.max_vertices)
         return list(_list_assignments(spec, xi, _allowed(spec, xi, None)))
+
+    @cached_property
+    def columns(self) -> list[list[int]]:
+        """The XI levels transposed: columns[i][row] is point i's level in xis[row]."""
+        return [list(column) for column in zip(*self.xis)] or [[] for _ in self.spec.alphas]
+
+    @cached_property
+    def swaps(self) -> list[tuple[int, int, list[int], list[int]]]:
+        return _swap_rows(_tables(self.spec.n, self.spec.alphas), self.columns)
 
 
 def _genus_sum(run: _Run) -> Iterator[str]:
@@ -121,76 +136,101 @@ def _nonspecial_equivalence(run: _Run) -> Iterator[str]:
 
 
 def _operators(run: _Run) -> Iterator[str]:
-    spec = run.spec
-    n, xi_shift = spec.n, DivisorKind.XI.shift
+    spec, cols = run.spec, run.columns
+    n, rows = spec.n, range(len(run.xis))
     t = _tables(n, spec.alphas)
-    negations = [(beta, GroupElement.negation(n, beta)) for beta in spec.classes]
-    for levels in run.xis:
-        for beta, element in negations:
-            image = _negate(t, levels, beta)
-            if not _meets(spec, image, xi_shift):
-                yield f"N_{beta} of {levels} is invalid"
-            if _negate(t, image, beta) != levels:
-                yield f"N_{beta} not an involution at {levels}"
-            if _group(t, levels, element) != image:
-                yield f"N_{beta} disagrees with its group element at {levels}"
-        if _rotate(t, levels, n) != levels:
-            yield f"M^n != id at {levels}"
-        if not _meets(spec, _rotate(t, levels, 1), xi_shift):
-            yield f"M of {levels} is invalid"
-        for q in range(spec.point_count):
-            partners = _partners(t, levels, q)
-            if levels[q] == 0:  # T needs its base point Q at level 0
-                for r in partners:
-                    image = _swap(t, levels, q, r)
-                    if not _meets(spec, image, xi_shift):
-                        yield f"T:{q},{r} of {levels} is invalid"
-                    if image[r] != levels[r]:
-                        yield f"T:{q},{r} moved the partner at {levels}"
-                    if _swap(t, image, q, r) != levels:
-                        yield f"T:{q},{r} not an involution at {levels}"
-            for r in partners:
-                image = _swap_hat(t, levels, q, r)
-                if not _meets(spec, image, xi_shift):
-                    yield f"That:{q},{r} of {levels} is invalid"
-                if _swap_hat(t, image, r, q) != levels:
-                    yield f"That:{r},{q} does not invert at {levels}"
+    found: list = []
+    record = partial(_record, found, run.xis)
+    for b, beta in enumerate(spec.classes):
+        image = _columns(t.negations(beta), cols)
+        record(_invalid(spec, rows, image), (0, b, 0), f"N_{beta} of %s is invalid")
+        record(_differ(rows, _columns(t.negations(beta), image), cols), (0, b, 1),
+               f"N_{beta} not an involution at %s")
+        record(_differ(rows, _group_columns(t, cols, GroupElement.negation(n, beta)), image),
+               (0, b, 2), f"N_{beta} disagrees with its group element at %s")
+    record(_differ(rows, _columns(t.rotations(n % n), cols), cols), (1, 0), "M^n != id at %s")
+    record(_invalid(spec, rows, _columns(t.rotations(1), cols)), (1, 1), "M of %s is invalid")
+    for q, r, hat, base in run.swaps:
+        if base:  # T needs its base point Q at level 0
+            before = _take(cols, base)
+            image = _swap_columns(t, before, q, r)
+            record(_invalid(spec, base, image), (2, q, 0, r, 0), f"T:{q},{r} of %s is invalid")
+            record(_differ(base, image[r:r + 1], before[r:r + 1]), (2, q, 0, r, 1),
+                   f"T:{q},{r} moved the partner at %s")
+            record(_differ(base, _swap_columns(t, image, q, r), before), (2, q, 0, r, 2),
+                   f"T:{q},{r} not an involution at %s")
+        before = _take(cols, hat)
+        image = _swap_hat_columns(t, before, q, r)
+        record(_invalid(spec, hat, image), (2, q, 1, r, 0), f"That:{q},{r} of %s is invalid")
+        record(_differ(hat, _swap_hat_columns(t, image, r, q), before), (2, q, 1, r, 1),
+               f"That:{r},{q} does not invert at %s")
+    yield from _merged(found)
 
 
 def _denominators(run: _Run) -> Iterator[str]:
-    spec = run.spec
-    t = _tables(spec.n, spec.alphas)
-    # each h, g and q is built once and looked up for every image that reaches it
-    hs, gs, qs = (cache(partial(kernel, spec)) for kernel in (_h, _g, _q))
-    degrees = set()
-    for levels in run.xis:
-        h = hs(levels)
-        degrees.add(degree(ExponentMatrix._make(spec, h)))
-        slots = sorted(set(zip(spec.alphas, levels)), reverse=True)
-        if _slot_walk(spec, levels, slots)._values != h:
-            yield f"assembly order changes h at {levels}"
-        if hs(_rotate(t, levels, 1)) != h:
-            yield f"h not rotation invariant at {levels}"
-        for beta in spec.classes:
-            if hs(_negate(t, levels, beta)) != h:
-                yield f"h not negation invariant at {levels}, beta={beta}"
-        for q in range(spec.point_count):
-            if levels[q] != 0:
-                continue
-            beta = spec.alphas[q]
-            g0 = gs(levels, beta)
-            for r in _partners(t, levels, q):
-                image = _swap(t, levels, q, r)
-                shift = _shift(spec, levels, q, r)
-                if tuple(map(sub, hs(image), h)) != shift:
-                    yield f"h shift wrong under T:{q},{r} at {levels}"
-                if tuple(map(sub, gs(image, beta), g0)) != shift:
-                    yield f"g^{beta} shift wrong under T:{q},{r} at {levels}"
-                gamma = spec.alphas[r]
-                if tuple(map(sub, qs(image, q, gamma), qs(levels, q, gamma))) != shift:
-                    yield f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at {levels}"
+    spec, cols = run.spec, run.columns
+    n, rows = spec.n, range(len(run.xis))
+    t, tables = _tables(n, spec.alphas), _PairTables(spec)
+    found: list = []
+    record = partial(_record, found, run.xis)
+    keys, zero = _keys(n, cols), itertools.repeat([0] * len(rows))
+    h = _read(tables.h, keys)
+    record(_differ(rows, _read(tables.back, keys), h), (0,), "assembly order changes h at %s")
+    # h at an image is h's table read through the operator's level maps
+    record(_differ(rows, _read(tables.drift(tables.h, t.rotations(1)), keys), zero), (1,),
+           "h not rotation invariant at %s")
+    for b, beta in enumerate(spec.classes):
+        record(_differ(rows, _read(tables.drift(tables.h, t.negations(beta)), keys), zero),
+               (2, b), f"h not negation invariant at %s, beta={beta}")
+    for q, r, _, base in run.swaps:
+        if not base:
+            continue
+        beta, gamma = spec.alphas[q], spec.alphas[r]
+        # T:q,r's level maps: its image of every point at every level
+        moves = list(map(tuple, _swap_columns(t, [range(n)] * spec.point_count, q, r)))
+        before, shift = _take(keys, base), tables.shift(q, r)
+        for c, pair_tables, message in (
+            (0, tables.h, f"h shift wrong under T:{q},{r} at %s"),
+            (1, tables.blocks(beta, spec.classes), f"g^{beta} shift wrong under T:{q},{r} at %s"),
+            (2, tables.blocks(beta, (gamma,), q),
+             f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at %s"),
+        ):
+            drift = _read(tables.drift(pair_tables, moves, shift), before)
+            record(_differ(base, drift, itertools.repeat([0] * len(base))), (3, q, r, c), message)
+    yield from _merged(found)
+    totals = set(map(sum, zip(*h)))
+    degrees = {degree(ExponentMatrix._make(spec, (total,))) for total in totals}
     if len(degrees) > 1:
         yield f"h degrees differ across divisors: {sorted(degrees)}"
+
+
+def _take(columns: list, rows: list) -> list[list[int]]:
+    return [list(map(c.__getitem__, rows)) for c in columns]
+
+
+def _invalid(spec: CurveSpec, rows, columns: list) -> Iterator[int]:
+    """The rows whose levels fail ``_meets``' packed-sum test for kind XI."""
+    contrib, targets = spec.packed
+    sums = map(sum, zip(*[map(c.__getitem__, column) for c, column in zip(contrib, columns)]))
+    return itertools.compress(rows, map(targets[DivisorKind.XI.shift].__ne__, sums))
+
+
+def _differ(rows, found: Iterable[list], want: list) -> set:
+    """The rows at which some column of ``found`` differs from that of ``want``."""
+    bad: set = set()
+    for got, expected in zip(found, want):
+        if got != expected:
+            bad.update(itertools.compress(rows, map(ne, got, expected)))
+    return bad
+
+
+def _record(found: list, xis: list, bad: Iterable[int], position: tuple, message: str) -> None:
+    """One (row, place in a row-by-row sweep, message at the row's levels) per failing row."""
+    found.extend((row, position, message % (xis[row],)) for row in bad)
+
+
+def _merged(found: list) -> list[str]:
+    return [message for *_, message in sorted(found)]  # in the order a row-by-row sweep finds them
 
 
 def _evaluation(run: _Run) -> Iterator[str]:

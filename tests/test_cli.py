@@ -67,6 +67,18 @@ def test_ftable_json(capsys):
     assert doc["version"]
 
 
+def test_ftable_refuses_an_n_above_its_cap_before_building_the_table(capsys, monkeypatch):
+    from thomae import cli, ffunctions
+
+    code, out, _ = run(capsys, "ftable", "--n", str(cli.FTABLE_MAX_N), "--d", "1",
+                       "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 2
+    monkeypatch.setattr(ffunctions, "f_chain", lambda n, d: pytest.fail("the table was built"))
+    code, out, err = run(capsys, "ftable", "--n", str(cli.FTABLE_MAX_N + 1), "--d", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: n = {cli.FTABLE_MAX_N + 1} is above the ftable cap {cli.FTABLE_MAX_N}\n"
+
+
 @pytest.mark.parametrize(
     "command", ["enumerate", "apply", "ftable", "denominator", "orbits", "counts", "verify"]
 )
