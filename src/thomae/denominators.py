@@ -249,11 +249,6 @@ def _keys(n: int, columns: list) -> list[list[int]]:
     return [list(map(add, scaled[i], columns[j])) for i, j in _pairs(len(columns))]
 
 
-def _read(tables: list, keys: list) -> list[list[int]]:
-    """Per point pair, its column of entries: its table read at its keys."""
-    return [list(map(t.__getitem__, k)) for t, k in zip(tables, keys)]
-
-
 class _PairTables:
     """One curve's lookup tables, a list per rule with one table per point pair
     (i, j), indexed by x * n + y for i at level x and j at level y."""

@@ -7,16 +7,17 @@ at level 0 and level n-1 is ordinary arithmetic mod n.
 
 Each operator is a kernel from level tuple to level tuple over per-point
 level maps tabulated once per (n, alphas); ``orbits`` calls the kernels
-directly, and ``verify`` reads the same maps over level columns, one ``map``
-per point.  The public functions check their input, call a kernel and wrap
-its image unchecked, as every kernel reduces its levels mod n.
+directly, and ``verify`` composes the same maps, the column readers applied to
+every level, and reads level columns only where they differ.  The public
+functions check their input, call a kernel and wrap its image unchecked, as
+every kernel reduces its levels mod n.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress, permutations, repeat
-from operator import eq, getitem, not_
+from itertools import compress, repeat
+from operator import eq, getitem
 
 from .curve import _Value, _require_type, is_int, k_inverse
 from .divisors import (DivisorError, DivisorKind, LeveledDivisor, _require_divisor, _require_int,
@@ -125,17 +126,6 @@ def _swap_columns(t: _Tables, columns: list, q: int, r: int) -> list:
 def _swap_hat_columns(t: _Tables, columns: list, q: int, r: int) -> list:
     out = list(columns)
     out[q], out[r] = _columns((t.up, t.down), (out[q], out[r]))
-    return out
-
-
-def _swap_rows(t: _Tables, columns: list) -> list[tuple[int, int, list, list]]:
-    """(q, r, the rows where R sits at Q's partner level, those of them with Q
-    at level 0) for every ordered pair of points: where T-hat and T apply."""
-    rows, out = range(len(columns[0])), []
-    for q, r in permutations(t.points, 2):
-        partner = tuple(expected[r] for expected in t.expected[q])
-        hat = list(compress(rows, map(eq, map(partner.__getitem__, columns[q]), columns[r])))
-        out.append((q, r, hat, list(compress(hat, map(not_, map(columns[q].__getitem__, hat))))))
     return out
 
 

@@ -11,14 +11,23 @@ this as the ``verify`` command and turns findings into exit status 2.
 The shifted divisors are listed once per run (``_Run.xis``), once their
 exact count is within the cap, and transposed into one level column per point.
 The operator and denominator checks make every assertion of a row-by-row
-sweep on every row, in whole-column passes.  An operator's image is each
-column read through its point's level map, valid when its own levels pass
-``_meets``' packed-sum test.  h, the reversed slot walk, g, q and the swap
-shift are tables per point pair keyed by the pair's two levels
-(``denominators._PairTables``); as every operator moves each point alone, a
-denominator at an image is its table read through the operator's level maps.
-Each failing row is recorded with its place in a row-by-row sweep, and
-sorting the records gives the messages in that sweep's order.
+sweep on every row, each decided once per distinct value of the levels it
+reads; rows are read only to name those that fail.  Every operator moves each
+point alone, by a level map per point, so an operator identity fails at a row
+exactly when one of its points sits at a level where two composed maps
+differ.  h, the reversed slot walk, g, q and the swap shift are tables per
+point pair keyed by its two levels, x * n + y (``denominators._PairTables``);
+a denominator at an image is its table read through the operator's level
+maps, so each denominator identity is a table that reads 0 where it holds,
+decided at each key a pair holds: over all rows, or for T over its base rows.
+An image of N_beta, M or T is valid when its own levels pass ``_meets``'
+packed-sum test, summed row by row.  T-hat moves only Q and R, so when every
+listed row meets its conditions an image's sum is the target plus Q's and R's
+changes, each fixed by its level: T-hat's validity is decided over its n
+admissible (Q level, R level) pairs.  Where a listed row fails its conditions,
+or T-hat moves a third point, the admissible rows are read and each image's
+sum is taken per row.  Each failing row is recorded with its place in a
+row-by-row sweep, and sorting the records gives that sweep's order.
 
 The non-special equivalence check builds one unchecked ``LeveledDivisor``
 per degree-g level tuple it walks, for the public specialty index and
@@ -32,12 +41,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property, partial
-from operator import ne
+from functools import cached_property, partial, reduce
+from operator import ne, not_
 from typing import Iterable, Iterator, Optional
 
 from .curve import CurveSpec, _Value, _require_sequence
-from .denominators import EvalMode, ExponentMatrix, _h, _keys, _PairTables, _read, degree, evaluate
+from .denominators import EvalMode, ExponentMatrix, _h, _keys, _PairTables, degree, evaluate
 from .divisors import (
     DivisorError,
     DivisorKind,
@@ -56,7 +65,6 @@ from .operators import (
     GroupElement,
     _columns,
     _group_columns,
-    _swap_rows,
     _swap_columns,
     _swap_hat_columns,
     _tables,
@@ -88,8 +96,14 @@ class _Run(_Value):
         return [list(column) for column in zip(*self.xis)] or [[] for _ in self.spec.alphas]
 
     @cached_property
-    def swaps(self) -> list[tuple[int, int, list[int], list[int]]]:
-        return _swap_rows(_tables(self.spec.n, self.spec.alphas), self.columns)
+    def swaps(self) -> list[tuple[int, int, tuple, list[int]]]:
+        """(q, r, T-hat's n admissible (Q level, R level) pairs, T's base rows,
+        those at the first pair) for every ordered pair of points (q, r)."""
+        t, cols = _tables(self.spec.n, self.spec.alphas), self.columns
+        zeros = [list(itertools.compress(range(len(c)), map(not_, c))) for c in cols]
+        swaps = [(q, r, tuple(enumerate(expected[r] for expected in t.expected[q])))
+                 for q, r in itertools.permutations(t.points, 2)]
+        return [(q, r, pairs, _at(cols, zeros[q], q, r, pairs[:1])) for q, r, pairs in swaps]
 
 
 def _genus_sum(run: _Run) -> Iterator[str]:
@@ -138,32 +152,44 @@ def _nonspecial_equivalence(run: _Run) -> Iterator[str]:
 def _operators(run: _Run) -> Iterator[str]:
     spec, cols = run.spec, run.columns
     n, rows = spec.n, range(len(run.xis))
-    t = _tables(n, spec.alphas)
+    t, ident = _tables(n, spec.alphas), [list(range(n))] * spec.point_count
     found: list = []
     record = partial(_record, found, run.xis)
+    levels = itertools.repeat(range(n))
+
+    def moved(rows, got, want=ident) -> set:  # those with a point where the maps differ
+        return _where(cols, got, want, levels, rows)
+
     for b, beta in enumerate(spec.classes):
-        image = _columns(t.negations(beta), cols)
-        record(_invalid(spec, rows, image), (0, b, 0), f"N_{beta} of %s is invalid")
-        record(_differ(rows, _columns(t.negations(beta), image), cols), (0, b, 1),
-               f"N_{beta} not an involution at %s")
-        record(_differ(rows, _group_columns(t, cols, GroupElement.negation(n, beta)), image),
+        neg = t.negations(beta)
+        record(_invalid(spec, rows, neg, cols), (0, b, 0), f"N_{beta} of %s is invalid")
+        record(moved(rows, _columns(neg, neg)), (0, b, 1), f"N_{beta} not an involution at %s")
+        record(moved(rows, _group_columns(t, ident, GroupElement.negation(n, beta)), neg),
                (0, b, 2), f"N_{beta} disagrees with its group element at %s")
-    record(_differ(rows, _columns(t.rotations(n % n), cols), cols), (1, 0), "M^n != id at %s")
-    record(_invalid(spec, rows, _columns(t.rotations(1), cols)), (1, 1), "M of %s is invalid")
-    for q, r, hat, base in run.swaps:
+    record(moved(rows, reduce(_columns, [t.rotations(1)] * n)), (1, 0), "M^n != id at %s")
+    record(_invalid(spec, rows, t.rotations(1), cols), (1, 1), "M of %s is invalid")
+    contrib, meet = spec.packed[0], not any(_invalid(spec, rows, ident, cols))
+    for q, r, pairs, base in run.swaps:
         if base:  # T needs its base point Q at level 0
-            before = _take(cols, base)
-            image = _swap_columns(t, before, q, r)
-            record(_invalid(spec, base, image), (2, q, 0, r, 0), f"T:{q},{r} of %s is invalid")
-            record(_differ(base, image[r:r + 1], before[r:r + 1]), (2, q, 0, r, 1),
+            moves = _swap_columns(t, ident, q, r)
+            record(_invalid(spec, base, moves, cols), (2, q, 0, r, 0),
+                   f"T:{q},{r} of %s is invalid")
+            record(_where(cols[r:r + 1], moves[r:r + 1], ident, levels, base), (2, q, 0, r, 1),
                    f"T:{q},{r} moved the partner at %s")
-            record(_differ(base, _swap_columns(t, image, q, r), before), (2, q, 0, r, 2),
+            record(moved(base, _swap_columns(t, moves, q, r)), (2, q, 0, r, 2),
                    f"T:{q},{r} not an involution at %s")
-        before = _take(cols, hat)
-        image = _swap_hat_columns(t, before, q, r)
-        record(_invalid(spec, hat, image), (2, q, 1, r, 0), f"That:{q},{r} of %s is invalid")
-        record(_differ(hat, _swap_hat_columns(t, image, r, q), before), (2, q, 1, r, 1),
-               f"That:{r},{q} does not invert at %s")
+        hat = _swap_hat_columns(t, ident, q, r)
+        if meet and all(list(m) == ident[0] for i, m in enumerate(hat) if i not in (q, r)):
+            # every row meets, so an image meets where Q's and R's moves keep their sum
+            image = _columns(contrib, hat)
+            bad = [(x, y) for x, y in pairs
+                   if image[q][x] + image[r][y] != contrib[q][x] + contrib[r][y]]
+            invalid = _at(cols, rows, q, r, bad)
+        else:
+            invalid = _invalid(spec, _at(cols, rows, q, r, pairs), hat, cols)
+        record(invalid, (2, q, 1, r, 0), f"That:{q},{r} of %s is invalid")
+        record(_at(cols, moved(rows, _swap_hat_columns(t, hat, r, q)), q, r, pairs),
+               (2, q, 1, r, 1), f"That:{r},{q} does not invert at %s")
     yield from _merged(found)
 
 
@@ -173,55 +199,63 @@ def _denominators(run: _Run) -> Iterator[str]:
     t, tables = _tables(n, spec.alphas), _PairTables(spec)
     found: list = []
     record = partial(_record, found, run.xis)
-    keys, zero = _keys(n, cols), itertools.repeat([0] * len(rows))
-    h = _read(tables.h, keys)
-    record(_differ(rows, _read(tables.back, keys), h), (0,), "assembly order changes h at %s")
+    keys, zero = _keys(n, cols), itertools.repeat((0,) * n * n)
+    ident, held = [range(n)] * spec.point_count, [set(k) for k in keys]  # each pair's keys
+    record(_where(keys, tables.back, tables.h, held, rows), (0,), "assembly order changes h at %s")
     # h at an image is h's table read through the operator's level maps
-    record(_differ(rows, _read(tables.drift(tables.h, t.rotations(1)), keys), zero), (1,),
+    record(_where(keys, tables.drift(tables.h, t.rotations(1)), zero, held, rows), (1,),
            "h not rotation invariant at %s")
     for b, beta in enumerate(spec.classes):
-        record(_differ(rows, _read(tables.drift(tables.h, t.negations(beta)), keys), zero),
-               (2, b), f"h not negation invariant at %s, beta={beta}")
+        record(_where(keys, tables.drift(tables.h, t.negations(beta)), zero, held, rows), (2, b),
+               f"h not negation invariant at %s, beta={beta}")
     for q, r, _, base in run.swaps:
         if not base:
             continue
         beta, gamma = spec.alphas[q], spec.alphas[r]
         # T:q,r's level maps: its image of every point at every level
-        moves = list(map(tuple, _swap_columns(t, [range(n)] * spec.point_count, q, r)))
-        before, shift = _take(keys, base), tables.shift(q, r)
-        for c, pair_tables, message in (
-            (0, tables.h, f"h shift wrong under T:{q},{r} at %s"),
-            (1, tables.blocks(beta, spec.classes), f"g^{beta} shift wrong under T:{q},{r} at %s"),
-            (2, tables.blocks(beta, (gamma,), q),
-             f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at %s"),
-        ):
-            drift = _read(tables.drift(pair_tables, moves, shift), before)
-            record(_differ(base, drift, itertools.repeat([0] * len(base))), (3, q, r, c), message)
+        moves, shift = list(map(tuple, _swap_columns(t, ident, q, r))), tables.shift(q, r)
+        drifts = [tables.drift(pair_tables, moves, shift) for pair_tables in
+                  (tables.h, tables.blocks(beta, spec.classes), tables.blocks(beta, (gamma,), q))]
+        # a pair's keys among the base rows, read only where one of its tables drifts somewhere
+        held = [set(map(k.__getitem__, base)) if any(map(any, d)) else () for k, *d in
+                zip(keys, *drifts)]
+        for c, (drift, message) in enumerate(zip(drifts, (
+            f"h shift wrong under T:{q},{r} at %s", f"g^{beta} shift wrong under T:{q},{r} at %s",
+            f"q^{{{q},{gamma}}} shift wrong under T:{q},{r} at %s",
+        ))):
+            record(_where(keys, drift, zero, held, base), (3, q, r, c), message)
     yield from _merged(found)
-    totals = set(map(sum, zip(*h)))
+    totals = set(map(sum, zip(*_columns(tables.h, keys))))
     degrees = {degree(ExponentMatrix._make(spec, (total,))) for total in totals}
     if len(degrees) > 1:
         yield f"h degrees differ across divisors: {sorted(degrees)}"
 
 
-def _take(columns: list, rows: list) -> list[list[int]]:
-    return [list(map(c.__getitem__, rows)) for c in columns]
-
-
-def _invalid(spec: CurveSpec, rows, columns: list) -> Iterator[int]:
-    """The rows whose levels fail ``_meets``' packed-sum test for kind XI."""
+def _invalid(spec: CurveSpec, rows, maps, columns: list) -> Iterator[int]:
+    """Those of ``rows`` whose images under ``maps``, a level map per point,
+    fail ``_meets``' packed-sum test for kind XI."""
     contrib, targets = spec.packed
-    sums = map(sum, zip(*[map(c.__getitem__, column) for c, column in zip(contrib, columns)]))
+    sums = map(sum, zip(*[map(read.__getitem__, map(column.__getitem__, rows))
+                          for read, column in zip(_columns(contrib, maps), columns)]))
     return itertools.compress(rows, map(targets[DivisorKind.XI.shift].__ne__, sums))
 
 
-def _differ(rows, found: Iterable[list], want: list) -> set:
-    """The rows at which some column of ``found`` differs from that of ``want``."""
-    bad: set = set()
-    for got, expected in zip(found, want):
-        if got != expected:
-            bad.update(itertools.compress(rows, map(ne, got, expected)))
-    return bad
+def _where(columns: list, got: Iterable, want: Iterable, held: Iterable, rows) -> set:
+    """Those of ``rows`` at which some column i holds a value v, one of
+    ``held[i]``, with got[i][v] != want[i][v]; a column with no such v is not read."""
+    out: set = set()
+    for column, g, w, h in zip(columns, got, want, held):
+        marked = set(itertools.compress(h, map(ne, map(g.__getitem__, h), map(w.__getitem__, h))))
+        if marked:
+            out.update(itertools.compress(rows, map(marked.__contains__,
+                                                    map(column.__getitem__, rows))))
+    return out
+
+
+def _at(cols: list, rows, q: int, r: int, pairs) -> list[int]:
+    """Those of ``rows`` at which the levels of the points q and r are one of ``pairs``."""
+    pairs, at = set(pairs), zip(map(cols[q].__getitem__, rows), map(cols[r].__getitem__, rows))
+    return list(itertools.compress(rows, map(pairs.__contains__, at))) if pairs else []
 
 
 def _record(found: list, xis: list, bad: Iterable[int], position: tuple, message: str) -> None:

@@ -154,6 +154,17 @@ CAUGHT = [
     ("verify.py",  # the column checks' findings come out check by check, not row by row
      "for *_, message in sorted(found)]", "for *_, message in found]",
      "tests/test_verify.py"),
+    ("verify.py",  # M^n is read as M itself
+     "[t.rotations(1)] * n", "[t.rotations(1)]",
+     "tests/test_verify.py"),
+    ("verify.py",  # T-hat's validity is decided per level pair even where a listed row fails
+     "meet = spec.packed[0], not any(_invalid(spec, rows, ident, cols))",
+     "meet = spec.packed[0], True",
+     "tests/test_verify.py"),
+    ("verify.py",  # T-hat's validity is decided per level pair even where it moves a third point
+     "if meet and all(list(m) == ident[0] for i, m in enumerate(hat) if i not in (q, r)):",
+     "if meet:",
+     "tests/test_verify.py"),
     ("verify.py",  # the degree filter looks at divisors of degree g - 1
      "level_sum = p * (n - 1) - spec.genus()", "level_sum = p * (n - 1) - spec.genus() + 1",
      "tests/test_verify.py"),
